@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from repro.errors import AnalysisError
+from repro.peaks import find_peaks
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def is_oscillatory(
     tail = v[start:]
     if oscillation_amplitude(v, tail_fraction) < min_amplitude:
         return False
-    peaks, _ = find_peaks(tail, prominence=min_amplitude / 2.0)
+    peaks = find_peaks(tail, min_amplitude / 2.0)
     return len(peaks) >= min_cycles
 
 
@@ -83,7 +83,7 @@ def analyze_stability(
     start = int(v.size * (1.0 - tail_fraction))
     tail_t, tail_v = t[start:], v[start:]
     amplitude = float(np.max(tail_v) - np.min(tail_v))
-    peaks, _ = find_peaks(tail_v, prominence=min_amplitude / 2.0)
+    peaks = find_peaks(tail_v, min_amplitude / 2.0)
     oscillatory = amplitude >= min_amplitude and len(peaks) >= 3
     period = (
         float(np.mean(np.diff(tail_t[peaks]))) if len(peaks) >= 2 else 0.0

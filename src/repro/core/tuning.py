@@ -12,6 +12,18 @@ server: a proportional-only loop is perturbed from equilibrium, the decay
 ratio of the error oscillation is measured, and ``Ku`` is found by
 bisection on the stable/unstable boundary.
 
+The search runs in *lockstep rounds*: every gain candidate of a round is
+one row of a single P-only run on
+:class:`~repro.thermal.batch.BatchThermalPlant`, and all regions of a
+schedule share each round.  The first round holds every doubling of the
+initial guess; each later round holds the whole midpoint subtree of the
+next :data:`_ROUND_LEVELS` bisection levels.  The sequential doubling,
+halving and bisection logic then replays over the measured decay
+ratios, and ``Pu`` is read from the round that already ran ``Ku``.  The
+batch plant is bit-identical to the scalar one and the ADC step uses the
+same expression as the batch sensing bank, so ``Ku``, ``Pu`` and every
+gain are bit-identical to running the experiments one at a time.
+
 The ultimate-gain search runs on the *lagged but unquantized* loop by
 default (``quantized=False``): the 10 s transport delay is what truly
 limits the achievable gain, and it preserves the ~8x sensitivity ratio
@@ -33,18 +45,28 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from repro.config import ServerConfig
 from repro.core.gain_schedule import GainRegion, GainSchedule
 from repro.core.pid import PIDGains
 from repro.errors import TuningError
+from repro.peaks import find_peaks
 from repro.sensing.adc import AdcQuantizer
-from repro.sensing.delay import DelayLine
+from repro.thermal.batch import BatchThermalPlant
 from repro.thermal.server import ServerThermalModel
-from repro.units import check_duration, check_positive, check_utilization, clamp
+from repro.units import check_duration, check_positive, check_utilization
+
+#: Bisection levels one lockstep round speculates: a round runs the whole
+#: midpoint subtree of the next ``_ROUND_LEVELS`` levels
+#: (``2**_ROUND_LEVELS - 1`` gains per region), so the default ten levels
+#: take two rounds after the doubling round.
+_ROUND_LEVELS = 5
+
+#: The halving search gives up once the next gain would fall below this.
+_MIN_GAIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,6 +131,91 @@ def ziegler_nichols_gains(
     return PIDGains(kp=kp, ki=ki, kd=kd)
 
 
+def _p_only_rows(
+    config: ServerConfig,
+    speeds_rpm: Sequence[float],
+    gains: Sequence[float],
+    utilization: float,
+    *,
+    duration_s: float,
+    dt_s: float,
+    perturbation_c: float,
+    quantized: bool,
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Lockstep P-only experiments, one row per ``(speed, gain)`` pair.
+
+    Returns the sample times and an iterator over each row's error
+    trace, in row order.  Every row repeats the scalar experiment of
+    :func:`simulate_p_only_loop` with the same float operations: the
+    plant rows are seeded from one settled, perturbed scalar plant per
+    operating point, and the fan-decision instants and the delay-line
+    arrivals depend only on time, so one schedule serves every row.
+    Readings live in one preallocated ``(steps + 1, rows)`` history
+    whose row 0 is each experiment's power-on reading.
+    """
+    check_utilization(utilization, "utilization")
+    check_duration(duration_s, "duration_s")
+    dt_s = check_duration(dt_s, "dt_s")
+    quantizer = AdcQuantizer.from_config(config.sensing) if quantized else None
+
+    plants, s_op, t_op, initial = [], [], [], []
+    points: dict[float, tuple[ServerThermalModel, float, float, float]] = {}
+    for speed in speeds_rpm:
+        if speed not in points:
+            plant = ServerThermalModel(config)
+            op_speed = plant.clamp_fan_speed(speed)
+            plant.settle(utilization, op_speed)
+            op_temp = plant.junction_c
+            # Perturb the slow state so the loop has something to regulate away.
+            plant.heatsink.reset(plant.state.heatsink_c + perturbation_c)
+            plant.die.reset(plant.junction_c + perturbation_c)
+            reading = quantizer.quantize(op_temp) if quantizer is not None else op_temp
+            points[speed] = (plant, op_speed, op_temp, reading)
+        plant, op_speed, op_temp, reading = points[speed]
+        plants.append(plant)
+        s_op.append(op_speed)
+        t_op.append(op_temp)
+        initial.append(reading)
+    n_rows = len(plants)
+    batch = BatchThermalPlant(plants, dt_s)
+    for r, speed in enumerate(s_op):
+        batch.apply_fan_speed(r, speed)
+    s_op_arr = np.array(s_op)
+    t_op_arr = np.array(t_op)
+    gain_arr = np.array(gains, dtype=float)
+    ambient = np.full(n_rows, plants[0].ambient.temperature_c(0.0))
+    util = np.full(n_rows, utilization)
+
+    n_steps = int(round(duration_s / dt_s))
+    times = np.arange(1, n_steps + 1) * dt_s
+    # Newest sample that has cleared the transport delay at each step, as
+    # a history row (0 = the power-on reading).
+    cols = np.searchsorted(times + config.sensing.lag_s, times, side="right")
+    fan_interval = config.control.fan_interval_s
+    decide = []
+    next_decision = fan_interval
+    for t in times.tolist():
+        due = t + 1e-9 >= next_decision
+        if due:
+            next_decision += fan_interval
+        decide.append(due)
+
+    history = np.empty((n_steps + 1, n_rows))
+    history[0] = initial
+    for k, (due, col) in enumerate(zip(decide, cols.tolist())):
+        junction, _, _ = batch.advance(ambient, util)
+        if quantizer is None:
+            history[k + 1] = junction
+        else:
+            history[k + 1] = quantizer.quantize_array(junction)
+        if due:
+            speeds = s_op_arr + gain_arr * (history[col] - t_op_arr)
+            for r, speed in enumerate(speeds.tolist()):
+                batch.apply_fan_speed(r, speed)
+    batch.check_finite()
+    return times, (history[cols, r] - t_op_arr[r] for r in range(n_rows))
+
+
 def simulate_p_only_loop(
     config: ServerConfig,
     kp: float,
@@ -130,42 +237,19 @@ def simulate_p_only_loop(
     runs with fan decisions every ``control.fan_interval_s`` while the
     measurement passes through the configured lag and (when ``quantized``)
     the ADC quantizer.  Returns ``(times, errors)`` sampled every ``dt_s``.
+    This is a one-row run of the lockstep batch the tuner uses.
     """
-    check_utilization(utilization, "utilization")
-    check_duration(duration_s, "duration_s")
-    plant = ServerThermalModel(config)
-    s_op = plant.clamp_fan_speed(fan_speed_rpm)
-    plant.settle(utilization, s_op)
-    t_op = plant.junction_c
-    # Perturb the slow state so the loop has something to regulate away.
-    plant.heatsink.reset(plant.state.heatsink_c + perturbation_c)
-    plant.die.reset(plant.junction_c + perturbation_c)
-
-    quantizer = AdcQuantizer.from_config(config.sensing) if quantized else None
-    initial = quantizer.quantize(t_op) if quantizer is not None else t_op
-    delay = DelayLine(config.sensing.lag_s, initial_value=initial)
-    fan_interval = config.control.fan_interval_s
-    fan = config.fan
-    speed = s_op
-    next_decision = fan_interval
-
-    n_steps = int(round(duration_s / dt_s))
-    times = np.empty(n_steps)
-    errors = np.empty(n_steps)
-    for k in range(n_steps):
-        t = (k + 1) * dt_s
-        state = plant.step(dt_s, utilization, speed)
-        sample = state.junction_c
-        if quantizer is not None:
-            sample = quantizer.quantize(sample)
-        delay.push(t, sample)
-        error = delay.read(t) - t_op
-        if t + 1e-9 >= next_decision:
-            speed = clamp(s_op + kp * error, fan.min_speed_rpm, fan.max_speed_rpm)
-            next_decision += fan_interval
-        times[k] = t
-        errors[k] = error
-    return times, errors
+    times, rows = _p_only_rows(
+        config,
+        [fan_speed_rpm],
+        [kp],
+        utilization,
+        duration_s=duration_s,
+        dt_s=dt_s,
+        perturbation_c=perturbation_c,
+        quantized=quantized,
+    )
+    return times, next(rows)
 
 
 def measure_oscillation(
@@ -184,7 +268,7 @@ def measure_oscillation(
     start = int(len(errors) * settle_fraction)
     tail_t = np.asarray(times)[start:]
     tail_e = np.asarray(errors)[start:]
-    peak_idx, _ = find_peaks(tail_e, prominence=min_prominence)
+    peak_idx = find_peaks(tail_e, min_prominence)
     if len(peak_idx) < 3:
         return OscillationMeasurement(decay_ratio=0.0, period_s=0.0, n_peaks=len(peak_idx))
     amplitudes = tail_e[peak_idx]
@@ -199,6 +283,179 @@ def measure_oscillation(
     return OscillationMeasurement(
         decay_ratio=decay, period_s=period, n_peaks=int(np.count_nonzero(positive))
     )
+
+
+class _Unmeasured(Exception):
+    """The replayed search reached a gain no round has measured yet.
+
+    ``gains`` is the next round's share for this region: the gain the
+    search needs now plus every gain it may need within the round.
+    """
+
+    def __init__(self, gains: list[float]) -> None:
+        super().__init__(gains)
+        self.gains = gains
+
+
+def _doublings(kp: float, count: int) -> list[float]:
+    """The doubling phase's gains: ``kp, 2 kp, 4 kp, ...``."""
+    gains = []
+    for _ in range(count):
+        gains.append(kp)
+        kp *= 2.0
+    return gains
+
+
+def _halvings(kp: float, count: int) -> list[float]:
+    """The halving phase's gains: ``kp, kp / 2, kp / 4, ...``."""
+    gains = []
+    for _ in range(count):
+        gains.append(kp)
+        kp /= 2.0
+    return gains
+
+
+def _midpoints(kp_low: float, kp_high: float, levels: int) -> list[float]:
+    """Every midpoint the next ``levels`` bisection steps can visit."""
+    if levels == 0:
+        return []
+    mid = 0.5 * (kp_low + kp_high)
+    return (
+        [mid]
+        + _midpoints(kp_low, mid, levels - 1)
+        + _midpoints(mid, kp_high, levels - 1)
+    )
+
+
+def _replay_search(
+    kp: float,
+    measured: dict[float, OscillationMeasurement],
+    sustained_threshold: float,
+    fan_speed_rpm: float,
+    max_doublings: int,
+    bisection_steps: int,
+) -> float:
+    """The sequential Ku search over measured experiments; returns Ku.
+
+    Raises :class:`_Unmeasured` at the first gain not in ``measured``,
+    naming the gains of the next round for the phase it stopped in.
+    """
+
+    def unstable(gain: float, speculate: Callable[[], list[float]]) -> bool:
+        found = measured.get(gain)
+        if found is None:
+            raise _Unmeasured(speculate())
+        return found.decay_ratio >= sustained_threshold
+
+    kp0 = kp
+    # Grow until unstable.
+    kp_low = 0.0
+    kp_high = None
+    for _ in range(max_doublings):
+        if unstable(kp, lambda: _doublings(kp0, max_doublings)):
+            kp_high = kp
+            break
+        kp_low = kp
+        kp *= 2.0
+    if kp_high is None:
+        raise TuningError(
+            f"no sustained oscillation up to kp={kp:.1f} rpm/K at "
+            f"{fan_speed_rpm} rpm; is the loop saturating?"
+        )
+    if kp_low == 0.0:
+        kp_low = kp_high / 2.0
+        while unstable(kp_low, lambda: _halvings(kp_low, max_doublings)):
+            kp_high = kp_low
+            kp_low /= 2.0
+            if kp_low < _MIN_GAIN:
+                raise TuningError("loop appears unstable at arbitrarily small gain")
+
+    for level in range(bisection_steps):
+        mid = 0.5 * (kp_low + kp_high)
+        levels = min(_ROUND_LEVELS, bisection_steps - level)
+        if unstable(mid, lambda: _midpoints(kp_low, kp_high, levels)):
+            kp_high = mid
+        else:
+            kp_low = mid
+    return kp_high
+
+
+def _ultimate_gains(
+    config: ServerConfig,
+    speeds_rpm: Sequence[float],
+    utilization: float,
+    sustained_threshold: float = 0.97,
+    max_doublings: int = 12,
+    bisection_steps: int = 10,
+    duration_s: float = 2400.0,
+    quantized: bool = False,
+) -> list[UltimateGain]:
+    """(Ku, Pu) for each operating point, searched in lockstep rounds.
+
+    A region's failure is raised only after every region is resolved,
+    and the first failing region in ``speeds_rpm`` order wins, as if the
+    regions had been searched one after another.
+    """
+    steady = ServerThermalModel(config).steady_state
+    outcomes: list[UltimateGain | TuningError | None] = []
+    first_guess: dict[int, float] = {}
+    for i, speed in enumerate(speeds_rpm):
+        slope = steady.junction_slope_per_rpm(utilization, speed)
+        if slope == 0.0:
+            outcomes.append(
+                TuningError("plant has zero sensitivity at this operating point")
+            )
+        else:
+            outcomes.append(None)
+            first_guess[i] = 1.0 / abs(slope)
+    measured: dict[int, dict[float, OscillationMeasurement]] = {
+        i: {} for i in first_guess
+    }
+    while True:
+        pending: dict[int, list[float]] = {}
+        for i, kp in first_guess.items():
+            if outcomes[i] is not None:
+                continue
+            try:
+                ku = _replay_search(
+                    kp,
+                    measured[i],
+                    sustained_threshold,
+                    speeds_rpm[i],
+                    max_doublings,
+                    bisection_steps,
+                )
+            except _Unmeasured as more:
+                pending[i] = more.gains
+                continue
+            except TuningError as error:
+                outcomes[i] = error
+                continue
+            period = measured[i][ku].period_s
+            outcomes[i] = (
+                UltimateGain(ku=ku, pu_s=period)
+                if period > 0.0
+                else TuningError("boundary gain produced no measurable period")
+            )
+        if not pending:
+            break
+        rows = [(i, gain) for i, gains in pending.items() for gain in gains]
+        times, errors = _p_only_rows(
+            config,
+            [speeds_rpm[i] for i, _ in rows],
+            [gain for _, gain in rows],
+            utilization,
+            duration_s=duration_s,
+            dt_s=1.0,
+            perturbation_c=2.0,
+            quantized=quantized,
+        )
+        for (i, gain), trace in zip(rows, errors):
+            measured[i][gain] = measure_oscillation(times, trace)
+    for outcome in outcomes:
+        if isinstance(outcome, TuningError):
+            raise outcome
+    return outcomes
 
 
 def find_ultimate_gain(
@@ -217,69 +474,21 @@ def find_ultimate_gain(
     (``1 / |dTj/dV|``); it is doubled until the loop's decay ratio reaches
     ``sustained_threshold`` (unstable side), then bisected against the
     last stable gain.  ``Pu`` is measured at the found boundary gain.
+    The experiments run in lockstep rounds (see the module docstring).
 
     Raises :class:`TuningError` if no oscillation can be provoked (e.g.
     the fan saturates before the loop destabilizes).
     """
-    plant = ServerThermalModel(config)
-    slope = plant.steady_state.junction_slope_per_rpm(utilization, fan_speed_rpm)
-    if slope == 0.0:
-        raise TuningError("plant has zero sensitivity at this operating point")
-    kp = 1.0 / abs(slope)
-
-    def decay_at(gain: float) -> float:
-        times, errors = simulate_p_only_loop(
-            config,
-            gain,
-            fan_speed_rpm,
-            utilization,
-            duration_s=duration_s,
-            quantized=quantized,
-        )
-        return measure_oscillation(times, errors).decay_ratio
-
-    # Grow until unstable.
-    kp_low = 0.0
-    kp_high = None
-    for _ in range(max_doublings):
-        if decay_at(kp) >= sustained_threshold:
-            kp_high = kp
-            break
-        kp_low = kp
-        kp *= 2.0
-    if kp_high is None:
-        raise TuningError(
-            f"no sustained oscillation up to kp={kp:.1f} rpm/K at "
-            f"{fan_speed_rpm} rpm; is the loop saturating?"
-        )
-    if kp_low == 0.0:
-        kp_low = kp_high / 2.0
-        while decay_at(kp_low) >= sustained_threshold:
-            kp_high = kp_low
-            kp_low /= 2.0
-            if kp_low < 1e-6:
-                raise TuningError("loop appears unstable at arbitrarily small gain")
-
-    for _ in range(bisection_steps):
-        mid = 0.5 * (kp_low + kp_high)
-        if decay_at(mid) >= sustained_threshold:
-            kp_high = mid
-        else:
-            kp_low = mid
-
-    ku = kp_high
-    times, errors = simulate_p_only_loop(
+    return _ultimate_gains(
         config,
-        ku,
-        fan_speed_rpm,
+        [fan_speed_rpm],
         utilization,
-        duration_s=duration_s,
-        quantized=quantized,
-    )
-    oscillation = measure_oscillation(times, errors)
-    if oscillation.period_s <= 0.0:
-        raise TuningError("boundary gain produced no measurable period")
-    return UltimateGain(ku=ku, pu_s=oscillation.period_s)
+        sustained_threshold,
+        max_doublings,
+        bisection_steps,
+        duration_s,
+        quantized,
+    )[0]
 
 
 def tune_region(
@@ -298,6 +507,12 @@ def tune_region(
     paper invokes [9], [21] explicitly covers choosing the variant.
     """
     ultimate = find_ultimate_gain(config, fan_speed_rpm, utilization)
+    return _region(fan_speed_rpm, ultimate, rule)
+
+
+def _region(
+    fan_speed_rpm: float, ultimate: UltimateGain, rule: ZieglerNicholsRule
+) -> GainRegion:
     gains = ziegler_nichols_gains(ultimate.ku, ultimate.pu_s, rule)
     return GainRegion(ref_speed_rpm=fan_speed_rpm, gains=gains)
 
@@ -317,11 +532,14 @@ def default_gain_schedule(
     """Tuned gain schedule for the Table I server (cached).
 
     Runs the full Ziegler-Nichols pipeline once per (config, regions)
-    combination; the frozen config dataclasses make the cache key exact.
+    combination, all regions sharing each lockstep round; the frozen
+    config dataclasses make the cache key exact.
     """
     cfg = config or ServerConfig()
-    regions = [
-        tune_region(cfg, speed, utilization=utilization, rule=rule)
-        for speed in region_speeds_rpm
-    ]
-    return GainSchedule(regions)
+    ultimates = _ultimate_gains(cfg, region_speeds_rpm, utilization)
+    return GainSchedule(
+        [
+            _region(speed, ultimate, rule)
+            for speed, ultimate in zip(region_speeds_rpm, ultimates)
+        ]
+    )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.config import SensingConfig
 from repro.errors import SensorError
 from repro.units import check_nonnegative
@@ -78,6 +80,25 @@ class AdcQuantizer:
                 raise SensorError(f"ADC input must be finite, got {value!r}")
             return value
         return self._minimum + self.code(value) * self._step
+
+    def quantize_array(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` element-wise, as a new array.
+
+        ``rint`` rounds half to even like :func:`round`, and clipping the
+        float code equals saturating the integer one, so every element is
+        bit-identical to the scalar :meth:`quantize` of that value.
+        Non-finite inputs are passed through, not rejected.
+        """
+        if self._step == 0.0:
+            return values.copy()
+        code = np.clip(
+            np.rint((values - self._minimum) / self._step),
+            0.0,
+            float(self._max_code),
+        )
+        code *= self._step
+        code += self._minimum
+        return code
 
     @classmethod
     def from_config(cls, config: SensingConfig) -> "AdcQuantizer":

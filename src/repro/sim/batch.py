@@ -6,12 +6,13 @@ sensing -> controller).  That is the right shape for one server, but a
 rack or a sweep grid pays the whole interpreter overhead B times per
 ``dt``.  This module advances all B servers at once:
 
-* :class:`BatchThermalPlant` - die/heat-sink temperatures, powers, and
-  fan-curve coefficients as ``(B,)`` arrays with vectorized
-  exact-exponential updates.  Decay coefficients and fan-law resistances
-  depend only on ``(dt, fan speed)``; the controller toggles among a few
-  discrete fan levels, so they are computed once per level with *scalar*
-  ``math`` calls (bit-identical to the scalar plant) and cached.
+* :class:`~repro.thermal.batch.BatchThermalPlant` (re-exported here) -
+  die/heat-sink temperatures, powers, and fan-curve coefficients as
+  ``(B,)`` arrays with vectorized exact-exponential updates.  Decay
+  coefficients and fan-law resistances depend only on ``(dt, fan
+  speed)``; the controller toggles among a few discrete fan levels, so
+  they are computed once per level with *scalar* ``math`` calls
+  (bit-identical to the scalar plant) and cached.
 * :class:`BatchSensorBank` - the noise -> ADC -> transport-delay pipeline
   over arrays, with noise drawn from each server's own seeded generator
   in the same order as the scalar path, so runs stay reproducible.
@@ -48,7 +49,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.base import ControlInputs
-from repro.errors import SimulationError, ThermalModelError
+from repro.errors import SimulationError
 from repro.sim.batch_control import (
     BatchGlobalController,
     BatchTrackerBank,
@@ -60,6 +61,7 @@ from repro.sensing.sensor import TemperatureSensor
 from repro.sim.engine import TELEMETRY_CHANNELS, _validate_timing
 from repro.sim.result import SimulationResult
 from repro.thermal.ambient import ConstantAmbient, CoupledInlet
+from repro.thermal.batch import BatchThermalPlant
 from repro.thermal.server import ServerState, ServerThermalModel
 from repro.workload.base import Workload
 from repro.workload.performance import DeadlineTracker
@@ -195,16 +197,15 @@ class BatchSensorBank:
         )
         self._interval_u = float(self._interval[0])
         self._lag_u = float(self._lag[0])
-        # Scalar ADC parameters when every server shares the same ADC.
+        # One shared ADC: its quantize_array takes scalar operands, and
+        # scalar-vs-array broadcasting is elementwise-identical IEEE
+        # arithmetic, so the codes match _quantize bit for bit.
         self._uniform_adc = (
             bool(np.all(self._q_step == self._q_step[0]))
             and bool(np.all(self._q_min == self._q_min[0]))
             and bool(np.all(self._max_code == self._max_code[0]))
         )
-        self._q_step_u = float(self._q_step[0])
-        self._q_min_u = float(self._q_min[0])
-        self._q_div_u = float(self._q_div[0])
-        self._max_code_u = float(self._max_code[0])
+        self._adc_u = sensors[0].adc
         # Transport-delay FIFOs: ring buffers sized to the worst-case
         # number of in-flight samples (lag / sample interval), grown on
         # demand if a pathological cadence ever overflows them.
@@ -272,23 +273,6 @@ class BatchSensorBank:
         )
         return np.where(step == 0.0, measured, minimum + code * step)
 
-    def _quantize_uniform(self, measured: np.ndarray) -> np.ndarray:
-        """:meth:`_quantize` with one shared ADC as scalar operands.
-
-        Scalar-vs-array broadcasting is elementwise-identical IEEE
-        arithmetic, so the codes match :meth:`_quantize` bit for bit.
-        """
-        if self._q_step_u == 0.0:
-            return measured.copy()
-        code = np.clip(
-            np.rint((measured - self._q_min_u) / self._q_div_u),
-            0.0,
-            self._max_code_u,
-        )
-        code *= self._q_step_u
-        code += self._q_min_u
-        return code
-
     def _push(self, idx: np.ndarray, time_s: float, values: np.ndarray) -> None:
         if np.any(self._count[idx] >= self._capacity):
             self._grow()
@@ -353,7 +337,7 @@ class BatchSensorBank:
             # Shared cadence: the bound above *is* every server's due
             # check, so all sample now and the ring stays lockstep.
             if self._uniform_adc:
-                quantized = self._quantize_uniform(true_temps)
+                quantized = self._adc_u.quantize_array(true_temps)
             else:
                 quantized = self._quantize(true_temps.copy(), self._rows)
             self._push_uniform(time_s, quantized)
@@ -434,160 +418,6 @@ class BatchSensorBank:
         self._next_arrival = float(
             np.where(self._count > 0, arrivals, np.inf).min()
         )
-
-
-class BatchThermalPlant:
-    """Die + heat sink of B servers as ``(B,)`` arrays.
-
-    Per-level coefficients (heat-sink resistance, exponential decay
-    factor, fan power) are computed with scalar ``math`` calls - the
-    same expressions the scalar :class:`~repro.thermal.heatsink.HeatSink`
-    and :class:`~repro.power.fan.FanPowerModel` evaluate - and cached
-    per ``(server, fan speed)``, so the array update is bit-identical to
-    B scalar plants while paying the transcendental cost only when a
-    controller actually changes a fan level.
-    """
-
-    def __init__(self, plants: Sequence[ServerThermalModel], dt_s: float) -> None:
-        self._dt = dt_s
-        n = len(plants)
-        self.hs_temp = np.array([p.heatsink.temperature_c for p in plants])
-        self.die_temp = np.array([p.die.temperature_c for p in plants])
-        configs = [p.config for p in plants]
-        self.p_static = np.array([c.cpu.p_static_w for c in configs])
-        self.p_dynamic = np.array([c.cpu.p_dynamic_w for c in configs])
-        self.n_sockets = np.array([float(c.n_sockets) for c in configs])
-        self.r_die = np.array([c.die.r_die_k_per_w for c in configs])
-        # Die decay: reproduce CpuDie's derived capacitance (tau / R) so
-        # R*C matches the scalar node to the last ulp.
-        self.die_decay = np.array(
-            [
-                math.exp(
-                    -dt_s
-                    / (
-                        c.die.r_die_k_per_w
-                        * (c.die.time_constant_s / c.die.r_die_k_per_w)
-                    )
-                )
-                for c in configs
-            ]
-        )
-        self._n_sockets_f = [float(c.n_sockets) for c in configs]
-        self._hs_capacitance = [
-            float(p.heatsink.capacitance_j_per_k) for p in plants
-        ]
-        self._r_base = [c.heatsink.r_base_k_per_w for c in configs]
-        self._r_coeff = [c.heatsink.r_coeff for c in configs]
-        self._r_exp = [c.heatsink.r_exponent for c in configs]
-        self._fan_p = [c.fan.power_per_socket_w for c in configs]
-        self._v_min = [c.fan.min_speed_rpm for c in configs]
-        self._v_max = [c.fan.max_speed_rpm for c in configs]
-        # Heat-sink fouling (fault injection): extra base resistance per
-        # server, folded into the cached level coefficients with the same
-        # float expression HeatSink.resistance_at evaluates.  Seeded from
-        # the plants so residual fouling from an earlier run carries over.
-        self._fouling = [p.heatsink.fouling_k_per_w for p in plants]
-        self._level_cache: list[dict[float, tuple[float, float, float]]] = [
-            {} for _ in range(n)
-        ]
-        self.r_hs = np.zeros(n)
-        self.hs_decay = np.zeros(n)
-        self.fan_w = np.zeros(n)
-        self.clamped_speed = np.zeros(n)
-        # Monotonic coefficient-change counter.  The coefficient arrays
-        # are mutated *in place* (array identity never changes), so any
-        # cache derived from them - the fused backend's window power
-        # matrices in particular - must key on this counter, not on
-        # id(hs_decay).  Bumped by every apply_fan_speed/set_fouling.
-        self.version = 0
-
-    def apply_fan_speed(self, i: int, speed_rpm: float) -> None:
-        """Clamp and apply one server's commanded fan speed.
-
-        Resolves the fan-level coefficients through the per-server cache;
-        scalar ``math`` keeps the values bit-identical to
-        ``HeatSink.resistance_at`` / ``RCNode.advance`` /
-        ``FanPowerModel.power_w``.
-        """
-        speed = float(speed_rpm)
-        clamped = min(max(speed, self._v_min[i]), self._v_max[i])
-        entry = self._level_cache[i].get(clamped)
-        if entry is None:
-            if clamped <= 0.0:
-                raise ThermalModelError(
-                    "heat sink resistance is undefined at zero fan speed"
-                )
-            resistance = (
-                self._r_base[i] + self._fouling[i]
-            ) + self._r_coeff[i] / clamped ** self._r_exp[i]
-            decay = math.exp(-self._dt / (resistance * self._hs_capacitance[i]))
-            fan_power = self._fan_p[i] * (clamped / self._v_max[i]) ** 3
-            entry = (resistance, decay, fan_power)
-            self._level_cache[i][clamped] = entry
-        self.r_hs[i] = entry[0]
-        self.hs_decay[i] = entry[1]
-        self.fan_w[i] = entry[2] * self._n_sockets_f[i]
-        self.clamped_speed[i] = clamped
-        self.version += 1
-
-    @property
-    def fouling_k_per_w(self) -> list[float]:
-        """Per-server fouling resistance currently in force."""
-        return list(self._fouling)
-
-    def set_fouling(self, i: int, extra_k_per_w: float) -> None:
-        """Set one server's fouling resistance, invalidating its cache.
-
-        Mirrors :meth:`repro.thermal.heatsink.HeatSink.set_fouling_k_per_w`
-        with the identical float expression in :meth:`apply_fan_speed`,
-        so fouled batch servers match fouled scalar plants bit for bit.
-        The caller re-applies the current fan speed afterwards to refresh
-        the in-force coefficient arrays.
-        """
-        if extra_k_per_w != self._fouling[i]:
-            self._fouling[i] = extra_k_per_w
-            self._level_cache[i] = {}
-            self.version += 1
-
-    def snapshot_fan_state(self) -> None:
-        """Detach the fan-level arrays before a round of speed changes.
-
-        Copy-on-write: the stepper holds references to ``fan_w`` and
-        ``clamped_speed`` for energy/coupling accounting of the *current*
-        step; replacing the arrays (instead of mutating them) keeps those
-        references at their pre-decision values.  Call once per control
-        step before the first :meth:`apply_fan_speed`.
-        """
-        self.fan_w = self.fan_w.copy()
-        self.clamped_speed = self.clamped_speed.copy()
-
-    def advance(
-        self, ambient_c: np.ndarray, applied_util: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One exact-exponential step for all servers.
-
-        Returns ``(junction, heatsink, cpu_power)`` arrays; fan power is
-        exposed as :attr:`fan_w` (it only changes with the fan level).
-        """
-        socket_power = self.p_static + self.p_dynamic * applied_util
-        hs_ss = ambient_c + self.r_hs * socket_power
-        hs = hs_ss + (self.hs_temp - hs_ss) * self.hs_decay
-        die_ss = hs + self.r_die * socket_power
-        die = die_ss + (self.die_temp - die_ss) * self.die_decay
-        self.hs_temp = hs
-        self.die_temp = die
-        return die, hs, socket_power * self.n_sockets
-
-    def check_finite(self) -> None:
-        """Raise if the thermal state has diverged.
-
-        sum() is non-finite iff any element is (NaN propagates, inf
-        saturates or cancels to NaN) - one cheap reduction.  NaN/inf
-        contamination is permanent once present, so the stepper probes
-        periodically instead of after every ``advance``.
-        """
-        if not math.isfinite(float(self.die_temp.sum())):
-            raise ThermalModelError("batch thermal state diverged")
 
 
 class BatchStepper:

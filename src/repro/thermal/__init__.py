@@ -11,6 +11,9 @@ riding on top of it.  This package provides:
 * :class:`~repro.thermal.die.CpuDie` - fast junction node.
 * :class:`~repro.thermal.server.ServerThermalModel` - the plant used by
   every experiment.
+* :class:`~repro.thermal.batch.BatchThermalPlant` - B such plants as
+  ``(B,)`` arrays, bit-identical to the scalar ones (batch backends and
+  the lockstep tuner).
 * :class:`~repro.thermal.network.ThermalNetwork` - a general multi-node RC
   network (used for validation and extension studies).
 * Ambient profiles in :mod:`repro.thermal.ambient`.
@@ -23,6 +26,7 @@ from repro.thermal.ambient import (
     DiurnalAmbient,
     StepAmbient,
 )
+from repro.thermal.batch import BatchThermalPlant
 from repro.thermal.die import CpuDie
 from repro.thermal.heatsink import HeatSink
 from repro.thermal.multicore import MultiCoreServerModel, MultiCoreState
@@ -33,6 +37,7 @@ from repro.thermal.steady_state import SteadyStateServerModel
 
 __all__ = [
     "AmbientProfile",
+    "BatchThermalPlant",
     "ConstantAmbient",
     "CoupledInlet",
     "CpuDie",

@@ -12,7 +12,8 @@ State equation (thermal/electrical duality)::
 with ``C`` the diagonal capacitance matrix and ``G`` the conductance
 (Laplacian-like) matrix built from node-to-node and node-to-ambient
 conductances.  The step update uses the exact matrix exponential via
-scipy, with inputs held constant over the step:
+scipy (imported on first use, so scipy stays off the package's import
+path), with inputs held constant over the step:
 
     T(t+dt) = T_ss + expm(-C^-1 G dt) @ (T(t) - T_ss)
 """
@@ -23,7 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ThermalModelError
 from repro.units import check_duration, check_positive, check_temperature
@@ -221,6 +221,8 @@ class ThermalNetwork:
         key = (dt_s, self._conductance_key)
         cached = self._propagator_cache.get(key)
         if cached is None:
+            from scipy.linalg import expm
+
             a = -self._conductance / self._capacitance[:, None]
             cached = expm(a * dt_s)
             self._propagator_cache[key] = cached

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,22 @@ class TestAdcQuantizer:
         adc = AdcQuantizer(step=1.0, bits=8)
         if a <= b:
             assert adc.quantize(a) <= adc.quantize(b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-100.0, 600.0), min_size=1, max_size=20),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 0.1]),
+        st.integers(1, 12),
+        st.floats(-50.0, 50.0),
+    )
+    def test_array_matches_scalar_bitwise(self, values, step, bits, minimum):
+        """quantize_array is the scalar quantize, element by element,
+        including half-step ties and saturation at both code limits."""
+        adc = AdcQuantizer(step=step, bits=bits, minimum=minimum)
+        ties = [minimum + (k + 0.5) * step for k in range(-2, 3)]
+        x = np.array(values + ties)
+        expected = [adc.quantize(v).hex() for v in x.tolist()]
+        assert [v.hex() for v in adc.quantize_array(x).tolist()] == expected
 
 
 class TestDelayLine:
