@@ -38,6 +38,7 @@ from repro.fleet.scenarios import FLEET_SCENARIOS, build_fleet_scenario
 from repro.fleet.simulator import FleetSimulator
 from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
+from repro.sim.backends import batch_stepper
 from repro.sim.parallel import parallel_map, resolve_workers
 
 #: Default racks per stacked chunk.  Past ~4 racks the per-``dt``
@@ -302,9 +303,7 @@ def run_campaign_chunk(
     labels = [task.label for task in tasks]
     # chunk_key groups by backend, so the whole chunk shares one lane;
     # "auto" means the vetted racks stack on the vectorized stepper.
-    batch_backend = (
-        "fused" if tasks[0].backend == "fused" else "vectorized"
-    )
+    lane, _ = batch_stepper(tasks[0].backend)
     t0 = time.perf_counter()
     results = run_stacked_racks(
         racks,
@@ -314,7 +313,7 @@ def run_campaign_chunk(
         labels=labels,
         # stacked_unsupported_reason already vetted these racks above.
         precheck=False,
-        backend=batch_backend,
+        backend=lane,
     )
     worker = worker_info(time.perf_counter() - t0)
     chunk_info = {"size": len(tasks), "labels": tuple(labels)}

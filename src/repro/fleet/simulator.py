@@ -38,13 +38,10 @@ from repro.errors import SimulationError
 from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
 from repro.obs.collector import resolve_obs
-from repro.sim.backends import stepper_backend
-from repro.sim.batch import BatchStepper, batch_unsupported_reason
+from repro.sim.backends import BACKENDS, batch_stepper
+from repro.sim.batch import batch_unsupported_reason
 from repro.sim.engine import ServerStepper
 from repro.units import check_duration
-
-#: Valid execution backends.
-BACKENDS = ("auto", "scalar", "vectorized", "fused")
 
 
 class FleetSimulator:
@@ -202,14 +199,7 @@ class FleetSimulator:
         self, n_steps: int, label: str, injector=None
     ) -> FleetResult:
         rack = self._rack
-        batch_backend = (
-            "fused" if self._backend == "fused" else "vectorized"
-        )
-        stepper_cls = (
-            stepper_backend(batch_backend)
-            if batch_backend != "vectorized"
-            else BatchStepper
-        )
+        lane, stepper_cls = batch_stepper(self._backend)
         stepper = stepper_cls(
             plants=[slot.plant for slot in rack],
             sensors=[slot.sensor for slot in rack],
@@ -232,10 +222,7 @@ class FleetSimulator:
         results = stepper.finish(
             [f"{label}/{slot.name}" for slot in rack]
         )
-        extras = {"backend": batch_backend}
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
+        extras = {"backend": lane}
         fallbacks = stepper.controller_fallbacks
         if not fallbacks:
             extras["controller_backend"] = "vectorized"

@@ -41,12 +41,10 @@ from repro.room.stack import (
     stacked_stepper,
     stacked_unsupported_reason,
 )
+from repro.sim.backends import BACKENDS, batch_stepper
 from repro.sim.engine import ServerStepper
 from repro.units import check_duration
 from repro.workload.performance import DeadlineTracker
-
-#: Valid execution backends (same meaning as FleetSimulator's).
-BACKENDS = ("auto", "scalar", "vectorized", "fused")
 
 
 class RoomSimulator:
@@ -210,9 +208,7 @@ class RoomSimulator:
         self, n_steps: int, label: str, injector=None
     ) -> RoomResult:
         room = self._room
-        batch_backend = (
-            "fused" if self._backend == "fused" else "vectorized"
-        )
+        lane, _ = batch_stepper(self._backend)
         stepper = stacked_stepper(
             room.racks,
             n_steps=n_steps,
@@ -225,7 +221,7 @@ class RoomSimulator:
             precheck=False,
             injector=injector,
             obs=self._obs,
-            backend=batch_backend,
+            backend=lane,
         )
         if self._obs is not None:
             with self._obs.span("run"):
@@ -233,12 +229,9 @@ class RoomSimulator:
         else:
             stepper.run()
         rack_results = split_stacked_results(
-            stepper, room.racks, self._rack_labels(label), backend=batch_backend
+            stepper, room.racks, self._rack_labels(label), backend=lane
         )
-        extras = {"backend": batch_backend}
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
+        extras = {"backend": lane}
         fallbacks = stepper.controller_fallbacks
         if not fallbacks:
             extras["controller_backend"] = "vectorized"

@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
 from repro.room.coupling import SparseCoupling
-from repro.sim.backends import stepper_backend
+from repro.sim.backends import batch_stepper
 from repro.sim.batch import BatchStepper, batch_unsupported_reason
 from repro.units import check_duration
 from repro.workload.performance import DeadlineTracker
@@ -72,8 +72,8 @@ def stacked_stepper(
 ) -> BatchStepper:
     """Build the ``(R*B,)`` batch stepper for a stack of racks.
 
-    ``backend`` names the batch stepper lane (``"vectorized"`` or any
-    name registered in :mod:`repro.sim.backends`, e.g. ``"fused"``).
+    ``backend`` names the batch lane (``"vectorized"`` or ``"fused"``,
+    resolved by :func:`repro.sim.backends.batch_stepper`).
     Raises :class:`~repro.errors.SimulationError` when the stack cannot
     batch; callers wanting a silent fallback should consult
     :func:`stacked_unsupported_reason` first - and may then pass
@@ -86,9 +86,7 @@ def stacked_stepper(
     if coupling is None:
         coupling = SparseCoupling.from_racks(racks)
     slots = [slot for rack in racks for slot in rack]
-    stepper_cls = (
-        BatchStepper if backend == "vectorized" else stepper_backend(backend)
-    )
+    _, stepper_cls = batch_stepper(backend)
     return stepper_cls(
         plants=[slot.plant for slot in slots],
         sensors=[slot.sensor for slot in slots],
@@ -148,9 +146,6 @@ def split_stacked_results(
                 "position": position,
             },
         }
-        scan_impl = getattr(stepper, "scan_impl", None)
-        if scan_impl is not None:
-            extras["scan_impl"] = scan_impl
         if not rack_fallbacks:
             extras["controller_backend"] = "vectorized"
         elif len(rack_fallbacks) == rack.n_servers:

@@ -96,6 +96,9 @@ class AdcQuantizer:
             0.0,
             float(self._max_code),
         )
+        # rint(-0.5) is -0.0, which clip keeps; the scalar int code has
+        # no sign, so fold -0.0 to +0.0 (x + 0.0 == x otherwise).
+        code += 0.0
         code *= self._step
         code += self._minimum
         return code

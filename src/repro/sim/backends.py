@@ -1,148 +1,89 @@
-"""Execution-backend registry and the fused lane's scan kernels.
+"""Backend names and the fused lane's closed-form scan.
 
 Simulation drivers (:class:`~repro.fleet.simulator.FleetSimulator`,
 :class:`~repro.room.simulator.RoomSimulator`, :func:`~repro.sim.batch.
-run_batch`, campaigns) accept a backend *name*; this module maps batch
-backend names to stepper classes without importing them eagerly, so the
-fused backend (and anything registered later) never creates an import
-cycle with :mod:`repro.sim.batch`.
+run_batch`, the room stack and campaign chunks) accept a backend *name*
+from :data:`BACKENDS`; :func:`batch_stepper` is the one place that maps
+it to a batch lane and its stepper class.  The fused stepper is imported
+on first use, because :mod:`repro.sim.fused` imports
+:mod:`repro.sim.batch`.
 
-It also owns the **exponential-scan** kernels the fused backend uses to
-advance a whole control window of first-order RC steps at once:
-
-* :func:`exp_scan_jit` - a numba-compiled version of the *exact*
-  per-step recurrence ``x <- ss + (x - ss) * decay`` (the same float
-  expression :meth:`repro.sim.batch.BatchThermalPlant.advance`
-  evaluates), used when numba is importable and not disabled via
-  ``REPRO_DISABLE_NUMBA``;
-* :func:`exp_scan_numpy` - the pure-NumPy fallback, a cumulative-sum
-  closed form that reorders the arithmetic and is therefore covered by
-  the tier-B tolerances of ``docs/backends.md`` rather than bit-for-bit
-  equality.
-
-Either way the fused backend stays within its equivalence tier; the
-kernels only trade Python dispatch for throughput.
+Both array lanes share one window kernel (:mod:`repro.sim.batch`) and
+differ only in how they advance the plant over a window.  The fused
+lane evaluates the first-order RC recurrence ``x <- s + (x - s) * a``
+for a whole window at once with :func:`exp_scan_numpy`, a cumulative-sum
+closed form over the decay-power and geometric-weight tables of
+:func:`scan_tables`.  It reorders the arithmetic, so it is covered by the
+tier-B tolerances of ``docs/backends.md`` rather than bit-for-bit
+equality.
 """
 
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import math
-import os
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: Execution backends every driver accepts.  ``"auto"`` rides the
+#: vectorized lane; ``"scalar"`` is the per-server reference loop the
+#: drivers run themselves, not a batch stepper.
+BACKENDS = ("auto", "scalar", "vectorized", "fused")
+
+#: Batch lane -> (module, class) of its stepper, imported on first use.
+_STEPPERS = {
+    "vectorized": ("repro.sim.batch", "BatchStepper"),
+    "fused": ("repro.sim.fused", "FusedStepper"),
+}
 
 #: Precision budget for one closed-form scan block: ``decay**-j`` may
 #: grow to at most this factor before the scan restarts from carried
 #: state (bounds the cumulative sum's relative error near 1e-10).
 SPAN_TARGET_LOG = math.log(1e6)
 
-#: Set (to anything but "" or "0") to force the pure-NumPy scan even
-#: when numba is importable.  CI runs the backend-conformance suite in
-#: both configurations.
-DISABLE_NUMBA_ENV = "REPRO_DISABLE_NUMBA"
 
-#: Batch-backend name -> "module:class" for lazy resolution.  "scalar"
-#: is deliberately absent: it is not a batch stepper but the per-server
-#: reference loop the drivers implement themselves.
-_BUILTIN_STEPPERS: dict[str, tuple[str, str]] = {
-    "vectorized": ("repro.sim.batch", "BatchStepper"),
-    "fused": ("repro.sim.fused", "FusedStepper"),
-}
-
-_RESOLVED: dict[str, Any] = {}
-
-
-def stepper_backend(name: str) -> Any:
-    """The stepper class registered under ``name`` (lazily imported)."""
-    cls = _RESOLVED.get(name)
-    if cls is not None:
-        return cls
-    spec = _BUILTIN_STEPPERS.get(name)
-    if spec is None:
+def batch_stepper(backend: str) -> tuple[str, Any]:
+    """The batch lane a backend name runs on, and its stepper class."""
+    lane = "vectorized" if backend == "auto" else backend
+    entry = _STEPPERS.get(lane)
+    if entry is None:
         raise SimulationError(
-            f"unknown batch backend {name!r}; choose from "
-            f"{tuple(sorted(_BUILTIN_STEPPERS))}"
+            f"unknown batch backend {backend!r}; choose from "
+            f"{tuple(sorted(_STEPPERS))}"
         )
-    module, attr = spec
-    cls = getattr(importlib.import_module(module), attr)
-    _RESOLVED[name] = cls
-    return cls
+    module, attr = entry
+    return lane, getattr(importlib.import_module(module), attr)
 
 
-def register_stepper_backend(name: str, module: str, attr: str) -> None:
-    """Register (or override) a batch backend by dotted location."""
-    _BUILTIN_STEPPERS[name] = (module, attr)
-    _RESOLVED.pop(name, None)
+def scan_tables(
+    decay: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Closed-form scan tables ``(powers, geom, span)`` for a window of ``w``.
 
-
-def batch_backend_names() -> tuple[str, ...]:
-    """Registered batch-backend names, sorted."""
-    return tuple(sorted(_BUILTIN_STEPPERS))
-
-
-# ----------------------------------------------------------------------
-# Optional numba acceleration
-
-_numba_checked = False
-_numba_importable = False
-_jit_scan: Callable | None = None
-
-
-def numba_disabled() -> bool:
-    """Whether the environment forces the NumPy fallback."""
-    return os.environ.get(DISABLE_NUMBA_ENV, "") not in ("", "0")
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT may be used (import + env gate)."""
-    global _numba_checked, _numba_importable
-    if numba_disabled():
-        return False
-    if not _numba_checked:
-        _numba_importable = importlib.util.find_spec("numba") is not None
-        _numba_checked = True
-    return _numba_importable
-
-
-def fused_scan_impl() -> str:
-    """Which scan kernel the fused backend will pick: "numba" or "numpy"."""
-    return "numba" if numba_available() else "numpy"
-
-
-def exp_scan_jit() -> Callable | None:
-    """The numba-compiled exponential-scan kernel, or ``None``.
-
-    Signature: ``scan(x0, decay, forcing, out)`` with ``x0``/``decay``
-    of shape ``(n,)`` and ``forcing``/``out`` of shape ``(n, w)``; the
-    kernel fills ``out[:, j]`` with the state *after* step ``j`` of the
-    recurrence ``x <- s_j + (x - s_j) * a`` - the identical float
-    expression the vectorized plant steps, so the jitted fused lane
-    reproduces the vectorized trajectories term for term.
+    ``span`` is how many steps one closed-form block may cover before
+    ``decay**-j`` exceeds :data:`SPAN_TARGET_LOG`; it follows the
+    smallest decay in ``decay`` (a decay of 0, or one that underflows,
+    gives span 1).  ``powers[:, j] = decay**j`` for ``j = 0..span`` and
+    ``geom[:, j] = (1 - decay) / decay**j`` for ``j < span``.
     """
-    global _jit_scan
-    if not numba_available():
-        return None
-    if _jit_scan is None:
-        import numba
-
-        @numba.njit(cache=True)
-        def _scan(x0, decay, forcing, out):  # pragma: no cover - jitted
-            n, w = forcing.shape
-            for i in range(n):
-                x = x0[i]
-                a = decay[i]
-                for j in range(w):
-                    s = forcing[i, j]
-                    x = s + (x - s) * a
-                    out[i, j] = x
-
-        _jit_scan = _scan
-    return _jit_scan
+    a_min = float(decay.min())
+    if a_min >= 1.0:
+        full = 1 << 30
+    elif a_min <= 0.0:
+        full = 1
+    else:
+        full = max(1, int(SPAN_TARGET_LOG / -math.log(a_min)))
+    span = min(w, full)
+    n = decay.shape[0]
+    powers = np.empty((n, span + 1))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.cumprod(
+        np.broadcast_to(decay[:, None], (n, span)), axis=1
+    )
+    return powers, (1.0 - decay)[:, None] / powers[:, :span], span
 
 
 def exp_scan_numpy(
@@ -161,12 +102,12 @@ def exp_scan_numpy(
         C_J = sum_{i<J} s_i * geom_i      (cumsum along the window)
         x_J = a^J x_0 + a^(J-1) C_J
 
-    ``powers[:, j] = a^j`` and ``geom[:, j] = (1 - a) a^-j`` come
-    precomputed (the fused backend caches them per plant version).
-    ``span`` bounds how many steps one scan covers before ``a^-j``
-    erodes float precision; past it the scan restarts from the carried
-    state.  All forcing terms are nonnegative for this plant (steady
-    states are temperatures), so the cumulative sum never cancels.
+    ``powers``, ``geom`` and ``span`` come from :func:`scan_tables` (the
+    fused backend caches them per plant version).  Past ``span`` steps
+    the scan restarts from the carried state, so ``a^-j`` never erodes
+    float precision.  All forcing terms are nonnegative for this plant
+    (steady states are temperatures), so the cumulative sum never
+    cancels.
     """
     n, w = forcing.shape
     if w <= span:

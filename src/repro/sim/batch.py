@@ -16,11 +16,16 @@ rack or a sweep grid pays the whole interpreter overhead B times per
 * :class:`BatchSensorBank` - the noise -> ADC -> transport-delay pipeline
   over arrays, with noise drawn from each server's own seeded generator
   in the same order as the scalar path, so runs stay reproducible.
-* :class:`BatchStepper` - the lockstep loop: demand traces are evaluated
-  up front (:meth:`~repro.workload.base.Workload.demand_array`), the
-  per-``dt`` plant/sensing/energy/telemetry work is array math, and the
-  control decisions - which fire once per CPU period, not per ``dt`` -
-  run through the vectorized
+* :class:`BatchStepper` - the window kernel both array lanes share:
+  demand traces are evaluated up front
+  (:meth:`~repro.workload.base.Workload.demand_array`), the horizon is
+  cut into windows that end at the next control decision (or before a
+  fault change instant), and each window's plant work goes through
+  :meth:`BatchStepper._advance_window` - here an exact per-``dt`` scan,
+  in :mod:`repro.sim.fused` a closed form - before sensing, monitoring
+  and telemetry run at every step's own time.  The control decisions -
+  which fire once per CPU period, not per ``dt`` - run through the
+  vectorized
   :class:`~repro.sim.batch_control.BatchGlobalController` for every
   server whose DTM is a stock composition (adaptive-PID fan + deadzone
   capper + rule-based/E-coord/uncoordinated coordination + optional
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -69,6 +75,54 @@ from repro.workload.performance import DeadlineTracker
 #: Demand traces are evaluated this many steps at a time, bounding the
 #: precompute buffer at ``B * _CHUNK_STEPS`` floats for long horizons.
 _CHUNK_STEPS = 4096
+
+#: Phases the window kernel times, in flush order.  The first four
+#: count one call per step; the rest one per event.
+_PHASES = ("faults", "coupling", "plant", "sensing", "control", "monitor", "record")
+_STEP_PHASES = frozenset(_PHASES[:4])
+
+
+def _advance_due(due: np.ndarray, interval: np.ndarray, t_plus: float) -> np.ndarray:
+    """Step each due instant by its interval until it lies past ``t_plus``.
+
+    One chained float add per late period, the way the scalar schedules
+    advance, so the instants stay bit-identical to theirs.
+    """
+    while True:
+        late = due <= t_plus
+        if not late.any():
+            return due
+        due = np.where(late, due + interval, due)
+
+
+class _PhaseClock:
+    """Chunk-local phase totals for the window kernel (repro.obs).
+
+    :meth:`lap` charges the time since the previous lap to one phase, so
+    adjacent phases share a clock read; :meth:`flush` hands the totals
+    to the collector once per chunk, because per-step collector calls
+    would cost more than the array work they time.
+    """
+
+    __slots__ = ("t", "_acc")
+
+    def __init__(self) -> None:
+        self._acc = {name: [0.0, 0] for name in _PHASES}
+        self.t = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        entry = self._acc[name]
+        entry[0] += now - self.t
+        entry[1] += 1
+        self.t = now
+
+    def flush(self, obs: Any, steps: int) -> None:
+        for name, (total, laps) in self._acc.items():
+            if laps:
+                obs.phase_add(
+                    name, total, steps if name in _STEP_PHASES else laps
+                )
 
 
 def batch_unsupported_reason(
@@ -223,45 +277,31 @@ class BatchSensorBank:
         """Firmware-visible reading per server (after :meth:`pop_until`)."""
         return self._current
 
-    def _sample_noise(
-        self, measured: np.ndarray, positions: dict[int, int]
-    ) -> None:
-        """Add one noise draw per sampled server, in server order."""
+    def _sample(
+        self, idx: np.ndarray, time_s: float, true_temps: np.ndarray
+    ) -> np.ndarray:
+        """Sample servers ``idx``: noise, analog faults, ADC, digital faults.
+
+        Noise draws and fault transforms run per server in server order,
+        as the scalar sensors do, so RNG streams and fault state match.
+        """
+        measured = true_temps[idx]
+        if not (self._noisy_rows or self._fault_rows):
+            return self._quantize(measured, idx)
+        positions = {int(i): j for j, i in enumerate(idx)}
         for i in self._noisy_rows:
             j = positions.get(i)
             if j is not None:
                 measured[j] += self._noise[i].sample()
-
-    def _apply_pre_adc_faults(
-        self, time_s: float, measured: np.ndarray, positions: dict[int, int]
-    ) -> None:
-        """Analog-domain fault corruption, per faulted server in order."""
-        for i in self._fault_rows:
-            j = positions.get(i)
-            if j is not None:
-                measured[j] = self._fault_states[i].pre_adc(
-                    time_s, float(measured[j])
-                )
-
-    def _apply_post_adc_faults(
-        self, time_s: float, quantized: np.ndarray, positions: dict[int, int]
-    ) -> None:
-        """Digital-domain fault corruption (stuck register, dropout)."""
-        for i in self._fault_rows:
-            j = positions.get(i)
-            if j is not None:
-                quantized[j] = self._fault_states[i].post_adc(
-                    time_s, float(quantized[j])
-                )
-
-    def _positions(self, idx: np.ndarray) -> dict[int, int] | None:
-        """One shared {server -> sample position} map per sample step.
-
-        ``None`` when neither noise nor faults need per-server lookups.
-        """
-        if not (self._noisy_rows or self._fault_rows):
-            return None
-        return {int(i): j for j, i in enumerate(idx)}
+        faulted = [(i, positions[i]) for i in self._fault_rows if i in positions]
+        for i, j in faulted:
+            measured[j] = self._fault_states[i].pre_adc(time_s, float(measured[j]))
+        quantized = self._quantize(measured, idx)
+        for i, j in faulted:
+            quantized[j] = self._fault_states[i].post_adc(
+                time_s, float(quantized[j])
+            )
+        return quantized
 
     def _quantize(self, measured: np.ndarray, idx: np.ndarray) -> np.ndarray:
         step = self._q_step[idx]
@@ -313,15 +353,7 @@ class BatchSensorBank:
 
     def prime(self, time_s: float, true_temps: np.ndarray) -> None:
         """First observation: sets the power-on reading for every server."""
-        measured = true_temps.copy()
-        positions = self._positions(self._rows)
-        if self._noisy_rows:
-            self._sample_noise(measured, positions)
-        if self._fault_rows:
-            self._apply_pre_adc_faults(time_s, measured, positions)
-        quantized = self._quantize(measured, self._rows)
-        if self._fault_rows:
-            self._apply_post_adc_faults(time_s, quantized, positions)
+        quantized = self._sample(self._rows, time_s, true_temps)
         self._current = quantized.copy()
         self._push(self._rows, time_s, quantized)
         self._next_sample = time_s + self._interval
@@ -349,26 +381,11 @@ class BatchSensorBank:
             self._next_sample[:] = nxt
             self._next_due = nxt
             return
-        due = self._next_sample <= time_plus
-        idx = np.nonzero(due)[0]
-        measured = true_temps[idx].copy()
-        positions = self._positions(idx)
-        if self._noisy_rows:
-            self._sample_noise(measured, positions)
-        if self._fault_rows:
-            self._apply_pre_adc_faults(time_s, measured, positions)
-        quantized = self._quantize(measured, idx)
-        if self._fault_rows:
-            self._apply_post_adc_faults(time_s, quantized, positions)
-        self._push(idx, time_s, quantized)
-        next_sample = self._next_sample[idx]
-        interval = self._interval[idx]
-        while True:
-            late = next_sample <= time_plus
-            if not late.any():
-                break
-            next_sample = np.where(late, next_sample + interval, next_sample)
-        self._next_sample[idx] = next_sample
+        idx = np.nonzero(self._next_sample <= time_plus)[0]
+        self._push(idx, time_s, self._sample(idx, time_s, true_temps))
+        self._next_sample[idx] = _advance_due(
+            self._next_sample[idx], self._interval[idx], time_plus
+        )
         self._next_due = float(self._next_sample.min())
 
     def state_of(self, i: int) -> tuple[float, list[tuple[float, float]], float]:
@@ -423,6 +440,8 @@ class BatchSensorBank:
 class BatchStepper:
     """Lockstep closed-loop driver for B servers on the batch backend.
 
+    Runs the window kernel with the exact scan (``backend="vectorized"``);
+    :class:`~repro.sim.fused.FusedStepper` swaps in the closed form.
     Parameters mirror B parallel :class:`~repro.sim.engine.ServerStepper`
     instances; ``coupling``/``exhaust`` (duck-typed to avoid importing
     the fleet package) switch on rack recirculation, in which case every
@@ -513,9 +532,6 @@ class BatchStepper:
             # Hot-path handle on the CouplingOperator: dense racks run one
             # gemv, room-scale operators a block-sparse mat-vec.
             self._coupling_apply = coupling.apply
-            # Exhaust conductance depends only on the fan-speed array,
-            # which is replaced (never mutated) on fan changes, so cache
-            # it keyed on array identity.
             self._conductance: np.ndarray | None = None
             self._conductance_for: np.ndarray | None = None
         else:
@@ -621,8 +637,9 @@ class BatchStepper:
             and bool(np.all(self._cpu_interval == self._cpu_interval[0]))
         )
 
-        # Plant-state mirrors used by the coupling (exhaust of step k
-        # feeds inlets at step k+1, so these lag the knob arrays).
+        # Plant-state mirrors: the coupling reads them (exhaust of step k
+        # feeds inlets at step k+1, so they lag the knob arrays) and the
+        # trapezoid energy update pairs them with the next step's powers.
         self._state_fan_speed = np.array(
             [p.state.fan_speed_rpm for p in plants]
         )
@@ -635,8 +652,6 @@ class BatchStepper:
         # EnergyAccountant but element-wise).
         self._cpu_j = np.zeros(n)
         self._fan_j = np.zeros(n)
-        self._energy_last_cpu = self._state_cpu_w
-        self._energy_last_fan = self._state_fan_w
         self._energy_last_t = self._start
 
         self._sensing = BatchSensorBank(sensors, sensor_fault_states)
@@ -647,16 +662,6 @@ class BatchStepper:
             name: np.empty((n, n_records)) for name in TELEMETRY_CHANNELS
         }
         self._record_idx = 0
-
-    @property
-    def steps_taken(self) -> int:
-        """Number of completed steps."""
-        return self._k
-
-    @property
-    def done(self) -> bool:
-        """True once all steps have been taken."""
-        return self._k >= self._n_steps
 
     @property
     def n_servers(self) -> int:
@@ -683,195 +688,217 @@ class BatchStepper:
             self._run_chunk(min(_CHUNK_STEPS, self._n_steps - self._k))
 
     def _run_chunk(self, m: int) -> None:
-        # Phase timing (repro.obs): adjacent phases share boundary
-        # timestamps, so each phase costs one clock read per dt.  Phase
-        # time accumulates in chunk-local floats and flushes once per
-        # chunk via phase_add - per-dt collector calls would cost more
-        # than the array work they time.  The demand precompute is a
-        # per-chunk "workload" phase; the scalar engine, which samples
-        # demand inline, folds it into "plant".
+        # The window kernel both array lanes share.  A window is the
+        # longest step run with the loop held open: it ends *at* the
+        # first control-due step (the decision runs after that step's
+        # physics) and *before* any step with a fault change due, so
+        # fault transforms refresh at their exact instants and fan
+        # levels, caps and plant coefficients are frozen inside it.
+        # _advance_window moves the plant across the window; sensing,
+        # the window-ending decision, the monitor hook and records then
+        # run at every step's own time.
         obs = self._obs
         if obs is not None:
-            _pc = time.perf_counter
-            t_prev = _pc()
+            t0 = time.perf_counter()
         start, dt, k0 = self._start, self._dt, self._k
         times = [start + (k + 1) * dt for k in range(k0, k0 + m)]
+        times_plus = [t + 1e-9 for t in times]
         times_arr = np.array(times)
-        demands = np.empty((self._n, m))
+        n = self._n
+        demands = np.empty((n, m))
         for i, workload in enumerate(self._workloads):
             demands[i] = workload.demand_array(times_arr)
+        # Phase timing (repro.obs): the demand precompute is one
+        # per-chunk "workload" phase (the scalar engine, which samples
+        # demand inline, folds it into "plant"); the rest accumulates in
+        # a chunk-local clock flushed once per chunk.
+        clock = None
         if obs is not None:
-            obs.phase("workload", t_prev, _pc())
-            acc_faults = acc_coupling = acc_plant = 0.0
-            acc_sensing = acc_control = acc_monitor = acc_record = 0.0
-            n_control = n_monitor = n_record = ctl_due = 0
+            clock = _PhaseClock()
+            obs.phase("workload", t0, clock.t)
+        ctl_due = 0
 
         plant = self._plant
         sensing = self._sensing
         observe = sensing.observe
         pop_until = sensing.pop_until
-        advance = plant.advance
         decimation = self._decimation
         channels = self._channels
-        coupled = self._coupled
-        decoupled = coupled and self._decoupled
-        if coupled:
-            coupling_apply = None if decoupled else self._coupling_apply
-            room = self._room
-        else:
-            ambient = self._ambient_const
-        # The divergence guard costs one reduction per call; NaN/inf
-        # contamination persists once it appears, so probing every 32nd
-        # step (plus once at chunk end) detects it all the same.
         injector = self._injector
+        fan_fault_rows = self._fan_fault_rows
         monitor = self._monitor
-        for j in range(m):
-            t = times[j]
-            t_plus = t + 1e-9
-            if obs is not None:
-                t_prev = _pc()
-
+        j = 0
+        while j < m:
+            # Fault transforms step only at window starts: windows break
+            # before every change instant.
             if injector is not None:
-                # Refresh cached plant coefficients when a fan/fouling
-                # transform steps to a new level, and advance any CRAC
-                # brownout forcing; both guards are one float compare
-                # against locally cached bounds on the (overwhelming
-                # majority of) steps with nothing due.
-                if t_plus >= self._next_plant_change:
+                t = times[j]
+                if times_plus[j] >= self._next_plant_change:
                     self._refresh_faulted_plants(
                         injector.pop_plant_changes(t), t
                     )
                     self._next_plant_change = injector.next_plant_change_s
-                if t_plus >= self._next_crac_change:
+                if times_plus[j] >= self._next_crac_change:
                     injector.poll_crac(t)
                     self._next_crac_change = injector.next_crac_change_s
-                if obs is not None:
-                    t_now = _pc()
-                    acc_faults += t_now - t_prev
-                    t_prev = t_now
+                if clock is not None:
+                    clock.lap("faults")
+            # times_plus ascends, so both window ends are bisections: the
+            # first control-due step (included) and the first later step
+            # with a fault change due (excluded).
+            ctl_at = bisect_left(times_plus, self._next_control_min, j, m)
+            change_at = bisect_left(
+                times_plus,
+                min(self._next_plant_change, self._next_crac_change),
+                j + 1,
+                m,
+            )
+            ctl = ctl_at < change_at
+            e = ctl_at + 1 if ctl else change_at
 
-            if coupled:
-                if decoupled:
-                    offsets = self._zero_offsets
-                else:
-                    speeds = self._state_fan_speed
-                    if self._conductance_for is not speeds:
-                        self._conductance = np.maximum(
-                            self._g_floor,
-                            self._g_max * speeds / self._v_max_exh,
-                        )
-                        self._conductance_for = speeds
-                    rises = (
-                        self._state_cpu_w + self._state_fan_w
-                    ) / self._conductance
-                    offsets = coupling_apply(rises)
-                self._last_offsets = offsets
-                ambient = room + offsets
-                if obs is not None:
-                    t_now = _pc()
-                    acc_coupling += t_now - t_prev
-                    t_prev = t_now
+            dem = demands[:, j:e]
+            applied = np.minimum(dem, self._cap[:, None])
+            die_rows, hs_rows = self._advance_window(
+                j, e, applied, times, times_arr, clock
+            )
+            # Non-finite state is permanent once present, so one probe
+            # per window stops a diverging run before sensing sees it.
+            plant.check_finite()
 
-            demand = demands[:, j]
-            applied = np.minimum(demand, self._cap)
-            die, hs, cpu_w = advance(ambient, applied)
-            if not (j & 31):
-                plant.check_finite()
-            # No copies: apply_fan_speed detaches these arrays before
-            # mutating them (BatchThermalPlant.snapshot_fan_state).
-            fan_w = plant.fan_w
-            self._state_fan_speed = plant.clamped_speed
-            self._state_cpu_w = cpu_w
-            self._state_fan_w = fan_w
-            self._last_applied = applied
-            self._last_ambient = ambient
-
-            dt_energy = t - self._energy_last_t
-            self._cpu_j += 0.5 * (self._energy_last_cpu + cpu_w) * dt_energy
-            self._fan_j += 0.5 * (self._energy_last_fan + fan_w) * dt_energy
-            self._energy_last_cpu = cpu_w
-            self._energy_last_fan = fan_w
-            self._energy_last_t = t
-            if obs is not None:
-                t_now = _pc()
-                acc_plant += t_now - t_prev
-                t_prev = t_now
-
-            observe(t, t_plus, die)
-            pop_until(t)
-
-            if coupled:
-                self._inlet_sums += ambient
-            if obs is not None:
-                t_now = _pc()
-                acc_sensing += t_now - t_prev
-                t_prev = t_now
-
-            if self._next_control_min <= t_plus:
-                due = self._next_control <= t_plus
-                due_idx = np.nonzero(due)[0]
-                self._control_step(due_idx, t, t_plus, demand, applied)
-                self._next_control_min = float(self._next_control.min())
-                if obs is not None:
-                    t_now = _pc()
-                    acc_control += t_now - t_prev
-                    t_prev = t_now
-                    n_control += 1
-                    ctl_due += due_idx.size
-
-            # Health monitoring: same due test as the scalar lane
-            # (identical floats: t comes from the same start+(k+1)*dt
-            # product), sampling the post-control decision channels.
-            if monitor is not None and t_plus >= monitor.next_due_s:
-                monitor.ingest_batch(t, sensing.current, self._fan_cmd, applied)
-                t_now = _pc()
-                acc_monitor += t_now - t_prev
-                t_prev = t_now
-                n_monitor += 1
-
-            k = k0 + j
-            if k % decimation == 0:
-                r = self._record_idx
-                channels["time"][:, r] = t
-                channels["junction"][:, r] = die
-                channels["heatsink"][:, r] = hs
-                channels["tmeas"][:, r] = sensing.current
-                channels["fan_speed"][:, r] = self._fan_cmd
-                if self._fan_fault_rows:
+            # Per-step tail.  The compares mirror the early-return bounds
+            # inside observe/pop_until, so sensing state evolves exactly
+            # as if both ran every step.
+            for kk in range(j, e):
+                c = kk - j
+                t = times[kk]
+                t_plus = times_plus[kk]
+                if sensing._next_due <= t_plus:
+                    observe(t, t_plus, die_rows[c])
+                if sensing._next_arrival <= t:
+                    pop_until(t)
+                if ctl and kk == e - 1:
+                    if clock is not None:
+                        clock.lap("sensing")
+                    if self._ctrl_uniform:
+                        # One shared period: due is always whole-rack.
+                        due_idx = self._all_idx
+                    else:
+                        due_idx = np.nonzero(self._next_control <= t_plus)[0]
+                    self._control_step(
+                        due_idx, t, t_plus, dem[:, c], applied[:, c]
+                    )
+                    self._next_control_min = float(self._next_control.min())
+                    if clock is not None:
+                        clock.lap("control")
+                        ctl_due += due_idx.size
+                # Health monitoring: same due test as the scalar lane,
+                # sampling the post-control decision channels.  A
+                # monitor implies a live collector.
+                if monitor is not None and t_plus >= monitor.next_due_s:
+                    clock.lap("sensing")
+                    monitor.ingest_batch(
+                        t, sensing.current, self._fan_cmd, applied[:, c]
+                    )
+                    clock.lap("monitor")
+                if (k0 + kk) % decimation == 0:
+                    if clock is not None:
+                        clock.lap("sensing")
+                    r = self._record_idx
+                    channels["time"][:, r] = t
+                    channels["junction"][:, r] = die_rows[c]
+                    channels["heatsink"][:, r] = hs_rows[c]
+                    channels["tmeas"][:, r] = sensing.current
+                    channels["fan_speed"][:, r] = self._fan_cmd
                     # Telemetry shows the tachometer's view of the speed
                     # the fan actually runs at (same transforms, same t,
                     # as the scalar engine's record path).
-                    for i in self._fan_fault_rows:
+                    for i in fan_fault_rows:
                         state = self._fan_fault_states[i]
                         channels["fan_speed"][i, r] = state.reported(
                             t, state.actual(t, float(self._fan_cmd[i]))
                         )
-                channels["cpu_cap"][:, r] = self._cap
-                channels["demand"][:, r] = demand
-                channels["applied"][:, r] = applied
-                channels["t_ref"][:, r] = self._t_ref
-                self._record_idx = r + 1
-                if obs is not None:
-                    acc_record += _pc() - t_prev
-                    n_record += 1
-            if obs is not None:
-                obs.tick(t, self._n)
-        if obs is not None:
-            if injector is not None:
-                obs.phase_add("faults", acc_faults, m)
-            if coupled:
-                obs.phase_add("coupling", acc_coupling, m)
-            obs.phase_add("plant", acc_plant, m)
-            obs.phase_add("sensing", acc_sensing, m)
-            if n_control:
-                obs.phase_add("control", acc_control, n_control)
+                    channels["cpu_cap"][:, r] = self._cap
+                    channels["demand"][:, r] = dem[:, c]
+                    channels["applied"][:, r] = applied[:, c]
+                    channels["t_ref"][:, r] = self._t_ref
+                    self._record_idx = r + 1
+                    if clock is not None:
+                        clock.lap("record")
+            if clock is not None:
+                clock.lap("sensing")
+                obs.tick(times[e - 1], n * (e - j))
+            j = e
+
+        if clock is not None:
+            clock.flush(obs, m)
+            if ctl_due:
                 obs.count("control_steps", ctl_due)
-            if n_monitor:
-                obs.phase_add("monitor", acc_monitor, n_monitor)
-            if n_record:
-                obs.phase_add("record", acc_record, n_record)
-        plant.check_finite()
         self._k = k0 + m
+
+    def _advance_window(
+        self,
+        j: int,
+        e: int,
+        applied: np.ndarray,
+        times: list[float],
+        times_arr: np.ndarray,
+        clock: _PhaseClock | None,
+    ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
+        """Advance the plant over chunk steps ``j..e-1``: the exact scan.
+
+        Steps each column through the coupling, one
+        :meth:`BatchThermalPlant.advance`, the trapezoid energy update
+        and the inlet sum - the scalar engine's floats in its order, so
+        this lane stays bit-for-bit with it (tier A).  Returns the
+        per-step junction and heat-sink temperatures, indexable by
+        window column.
+        """
+        plant = self._plant
+        coupled = self._coupled
+        if not coupled:
+            ambient = self._ambient_const
+        die_rows = []
+        hs_rows = []
+        for c in range(e - j):
+            if coupled:
+                offsets = self._zero_offsets
+                if not self._decoupled:
+                    # Exhaust conductance depends only on the fan-speed
+                    # array, which is replaced (never mutated) on fan
+                    # changes, so it is cached keyed on array identity.
+                    speeds = self._state_fan_speed
+                    if self._conductance_for is not speeds:
+                        self._conductance = np.maximum(
+                            self._g_floor, self._g_max * speeds / self._v_max_exh
+                        )
+                        self._conductance_for = speeds
+                    offsets = self._coupling_apply(
+                        (self._state_cpu_w + self._state_fan_w) / self._conductance
+                    )
+                self._last_offsets = offsets
+                ambient = self._room + offsets
+                self._inlet_sums += ambient
+                if clock is not None:
+                    clock.lap("coupling")
+            die, hs, cpu_w = plant.advance(ambient, applied[:, c])
+            # No copies: apply_fan_speed detaches these arrays before
+            # mutating them (BatchThermalPlant.snapshot_fan_state).
+            fan_w = plant.fan_w
+            t = times[j + c]
+            dt_energy = t - self._energy_last_t
+            self._cpu_j += 0.5 * (self._state_cpu_w + cpu_w) * dt_energy
+            self._fan_j += 0.5 * (self._state_fan_w + fan_w) * dt_energy
+            self._energy_last_t = t
+            self._state_fan_speed = plant.clamped_speed
+            self._state_cpu_w = cpu_w
+            self._state_fan_w = fan_w
+            die_rows.append(die)
+            hs_rows.append(hs)
+            if clock is not None:
+                clock.lap("plant")
+        self._last_applied = applied[:, -1]
+        self._last_ambient = ambient
+        return die_rows, hs_rows
 
     def _refresh_faulted_plants(self, servers: Sequence[int], t: float) -> None:
         """Re-derive plant coefficients for servers whose faults stepped.
@@ -939,14 +966,9 @@ class BatchStepper:
             )
             self._fan_cmd[changed] = forced_speeds
 
-        next_control = self._next_control[fs_idx]
-        interval = self._cpu_interval[fs_idx]
-        while True:
-            late = next_control <= t_plus
-            if not late.any():
-                break
-            next_control = np.where(late, next_control + interval, next_control)
-        self._next_control[fs_idx] = next_control
+        self._next_control[fs_idx] = _advance_due(
+            self._next_control[fs_idx], self._cpu_interval[fs_idx], t_plus
+        )
 
     def _control_step(
         self,
@@ -1040,8 +1062,9 @@ class BatchStepper:
                 self._fan_cmd = new_fan.copy()
                 self._cap = ctrl.cpu_cap.copy()
                 self._t_ref = ctrl.t_ref_c.copy()
-            next_control = self._next_control
-            interval = self._cpu_interval
+            self._next_control = _advance_due(
+                self._next_control, self._cpu_interval, t_plus
+            )
         else:
             local = self._vec_pos[idx]
             self._batch_trackers.record(local, demand[idx], self._cap[idx])
@@ -1065,17 +1088,9 @@ class BatchStepper:
             self._fan_cmd[idx] = new_fan
             self._cap[idx] = ctrl.cpu_cap[local]
             self._t_ref[idx] = ctrl.t_ref_c[local]
-            next_control = self._next_control[idx]
-            interval = self._cpu_interval[idx]
-        while True:
-            late = next_control <= t_plus
-            if not late.any():
-                break
-            next_control = np.where(late, next_control + interval, next_control)
-        if idx.size == self._n:
-            self._next_control = next_control
-        else:
-            self._next_control[idx] = next_control
+            self._next_control[idx] = _advance_due(
+                self._next_control[idx], self._cpu_interval[idx], t_plus
+            )
 
     def _apply_fan_changes(
         self, idx: np.ndarray, speeds: np.ndarray, t: float
@@ -1240,8 +1255,8 @@ def run_batch(
 
     All specs must share ``duration_s``, ``dt_s``, and
     ``record_decimation`` (one time grid).  ``backend`` picks the batch
-    stepper lane (``"vectorized"`` or any name registered in
-    :mod:`repro.sim.backends`, e.g. ``"fused"``).  Raises
+    lane (``"vectorized"``/``"auto"`` or ``"fused"``, resolved by
+    :func:`repro.sim.backends.batch_stepper`).  Raises
     :class:`~repro.errors.SimulationError` when the servers cannot batch;
     callers wanting a silent fallback should check
     :func:`batch_unsupported_reason` first or catch the error.
@@ -1263,12 +1278,9 @@ def run_batch(
         raise SimulationError(
             f"duration {first.duration_s} shorter than one step"
         )
-    if backend == "vectorized":
-        stepper_cls = BatchStepper
-    else:
-        from repro.sim.backends import stepper_backend
+    from repro.sim.backends import batch_stepper
 
-        stepper_cls = stepper_backend(backend)
+    _, stepper_cls = batch_stepper(backend)
     stepper = stepper_cls(
         plants=[spec.plant for spec in specs],
         sensors=[spec.sensor for spec in specs],

@@ -22,10 +22,12 @@ interleaves many steppers in lockstep so coupled servers advance
 together.
 
 This scalar loop is the **reference semantics** of the backend
-contract (``docs/backends.md``): :class:`~repro.sim.batch.BatchStepper`
-re-executes it element-wise across a rack (tier A, bit-for-bit), and
-:class:`~repro.sim.fused.FusedStepper` fuses the spans between control
-decisions into closed-form window kernels (tier B, exact decisions,
+contract (``docs/backends.md``).  Both array lanes run one window
+kernel, :class:`~repro.sim.batch.BatchStepper`, which re-executes this
+loop element-wise across a rack; they differ only in how a window's
+plant steps are evaluated - an exact per-step scan
+(``"vectorized"``, tier A, bit-for-bit) or a closed form
+(:class:`~repro.sim.fused.FusedStepper`, tier B, exact decisions,
 tolerance-bounded thermals).  Behaviour questions are settled here
 first; the array lanes follow.
 """

@@ -1,33 +1,26 @@
-"""Fused per-step batch backend: window-at-a-time array execution.
+"""Fused batch backend: the window kernel with a closed-form plant scan.
 
-The vectorized backend (:mod:`repro.sim.batch`) advances all B servers
-per ``dt`` but still pays ~30 small array ops of Python dispatch per
-step.  Between control decisions, however, the closed loop is *open*:
-fan levels, CPU caps, exhaust conductances, and plant coefficients are
-all frozen, demand is precomputed, and ``applied = min(demand, cap)``
-makes the plant forcing feed-forward.  :class:`FusedStepper` exploits
-that: it slices the horizon into **windows** - maximal step runs ending
-at (and including) the next control-due step and broken before any
-fault-transform change instant - and advances each window as a handful
-of ``(B, w)`` matrix ops:
+Both array lanes run :class:`~repro.sim.batch.BatchStepper`'s window
+kernel.  Between control decisions the closed loop is *open*: fan
+levels, CPU caps, exhaust conductances and plant coefficients are all
+frozen, demand is precomputed, and ``applied = min(demand, cap)`` makes
+the plant forcing feed-forward.  The vectorized lane still steps such a
+window one ``dt`` at a time; :class:`FusedStepper` advances it as a
+handful of ``(B, w)`` matrix ops:
 
-* the whole window's applied utilization, socket power, and CPU power
-  as three broadcasts,
+* the whole window's socket and CPU power as two broadcasts,
 * exhaust rises as one matrix (column 0 carries the one-step-lagged
-  plant-state mirrors, exactly like the per-dt lanes) pushed through
+  plant-state mirrors, exactly like the per-dt lane) pushed through
   :meth:`~repro.fleet.coupling.CouplingOperator.apply_window` - for
   multi-rack rooms one stacked ``(R, B, B) @ (R, B, w)`` matmul instead
   of a per-rack Python gemv loop per step,
-* heat-sink and die trajectories via an exponential scan - the
-  numba-jitted exact recurrence when importable, a cumulative-sum
-  closed form otherwise (:mod:`repro.sim.backends`),
+* heat-sink and die trajectories via the cumulative-sum closed form
+  :func:`~repro.sim.backends.exp_scan_numpy`,
 * trapezoidal energy as one pair-average mat-vec per window.
 
-Sensing keeps its exact per-step cadence through a cheap inner loop
-(two float compares per step against the sensor bank's due/arrival
-bounds), and control decisions run the inherited vectorized controller
-at their exact instants, so decision *sequences* are the vectorized
-lane's own.
+Sensing, control decisions, the monitor hook and records are the shared
+kernel's, at every step's own time, so decision *sequences* are the
+vectorized lane's own.
 
 Equivalence is **tier B** (docs/backends.md): the scans and window
 reductions reorder floating-point arithmetic, so thermal trajectories
@@ -36,42 +29,33 @@ rather than bit for bit.  Because measurements re-quantize through the
 sensor ADC, rounding-scale die-temperature differences essentially
 never flip a code: fan levels, caps, inlet channels, and synced-back
 controller state are identical in practice, with only temperatures and
-energies drifting at rounding scale.  With numba available the scan is
-the per-step recurrence itself and even the thermal trajectories match
-the vectorized lane term for term.
+energies drifting at rounding scale.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Any
 
 import numpy as np
 
-from repro.sim.backends import SPAN_TARGET_LOG, exp_scan_jit, exp_scan_numpy
+from repro.sim.backends import exp_scan_numpy, scan_tables
 from repro.sim.batch import BatchStepper
 
 
 class FusedStepper(BatchStepper):
-    """Batch stepper that advances one control window per iteration.
+    """Batch stepper that advances each window in closed form.
 
     A drop-in :class:`~repro.sim.batch.BatchStepper` subclass (same
-    constructor, same ``run``/``finish`` surface, same controller
-    partition and fault hooks); only :meth:`_run_chunk` is replaced by
-    the window-fused kernel.  Select it with ``backend="fused"`` on the
-    fleet/room simulators or via
-    :func:`repro.sim.backends.stepper_backend`.
+    constructor, same ``run``/``finish`` surface, same window kernel,
+    controller partition and fault hooks); only :meth:`_advance_window`
+    is replaced.  Select it with ``backend="fused"`` on any driver.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._jit = exp_scan_jit()
-        #: Which scan kernel this stepper runs: "numba" or "numpy".
-        self.scan_impl = "numba" if self._jit is not None else "numpy"
-        # Closed-form scan coefficients, keyed (node, window width), and
-        # the plant-coefficient column views; both invalidated whenever
-        # a control/fault action changes plant coefficients
+        # Closed-form scan tables, keyed (node, window width), and the
+        # plant-coefficient column views; both invalidated whenever a
+        # control/fault action changes plant coefficients
         # (BatchThermalPlant.version bumps on fan/fouling changes).
         self._coeff_cache: dict[tuple[str, int], tuple] = {}
         self._coeff_version = -1
@@ -80,365 +64,148 @@ class FusedStepper(BatchStepper):
             # poll_crac mutates the room array in place, so the column
             # view tracks brownouts automatically.
             self._room_col = self._room[:, None]
-        if self._coupled and not self._decoupled:
-            window = getattr(self._coupling, "apply_window", None)
-            if window is None:
-                # Duck-typed operator without the batched method: apply
-                # per column, same floats in the same order.
-                apply = self._coupling_apply
-
-                def window(rises: np.ndarray, _apply=apply) -> np.ndarray:
-                    out = np.empty(rises.shape)
-                    for c in range(rises.shape[1]):
-                        out[:, c] = _apply(rises[:, c])
-                    return out
-
-            self._coupling_window = window
-
-    # ------------------------------------------------------------------
-    # Scan kernels
-
-    def _coeffs(self, kind: str, decay: np.ndarray, w: int) -> tuple:
-        key = (kind, w)
-        entry = self._coeff_cache.get(key)
-        if entry is None:
-            # Span: how many steps one closed-form block may cover
-            # before decay**-j exceeds the precision target (the scan
-            # restarts from carried state past it).
-            a_min = float(decay.min())
-            if a_min >= 1.0:
-                full = 1 << 30
-            elif a_min <= 0.0:
-                full = 1
-            else:
-                full = max(1, int(SPAN_TARGET_LOG / -math.log(a_min)))
-            span = min(w, full)
-            n = decay.shape[0]
-            powers = np.empty((n, span + 1))
-            powers[:, 0] = 1.0
-            powers[:, 1:] = np.cumprod(
-                np.broadcast_to(decay[:, None], (n, span)), axis=1
-            )
-            entry = (
-                powers,
-                (1.0 - decay)[:, None] / powers[:, :span],
-                span,
-            )
-            self._coeff_cache[key] = entry
-        return entry
 
     def _scan(
         self, x0: np.ndarray, decay: np.ndarray, forcing: np.ndarray, kind: str
     ) -> np.ndarray:
         """Window trajectories of ``x <- s_j + (x - s_j) * a``."""
-        jit = self._jit
-        if jit is not None:
-            out = np.empty_like(forcing)
-            jit(x0, decay, forcing, out)
-            return out
-        powers, geom, span = self._coeffs(kind, decay, forcing.shape[1])
-        return exp_scan_numpy(x0, forcing, powers, geom, span)
+        key = (kind, forcing.shape[1])
+        tables = self._coeff_cache.get(key)
+        if tables is None:
+            tables = self._coeff_cache[key] = scan_tables(
+                decay, forcing.shape[1]
+            )
+        return exp_scan_numpy(x0, forcing, *tables)
 
-    # ------------------------------------------------------------------
-    # The fused kernel
-
-    def _run_chunk(self, m: int) -> None:
-        # Same phase accounting as the parent (chunk-local accumulators
-        # flushed once via phase_add); "plant" times the feed-forward
-        # power/thermal matrix work, "sensing" the per-step inner loop.
-        obs = self._obs
-        if obs is not None:
-            _pc = time.perf_counter
-            t_prev = _pc()
-        start, dt, k0 = self._start, self._dt, self._k
-        times = [start + (k + 1) * dt for k in range(k0, k0 + m)]
-        times_arr = np.array(times)
-        n = self._n
-        demands = np.empty((n, m))
-        for i, workload in enumerate(self._workloads):
-            demands[i] = workload.demand_array(times_arr)
-        if obs is not None:
-            obs.phase("workload", t_prev, _pc())
-            acc_faults = acc_coupling = acc_plant = 0.0
-            acc_sensing = acc_control = acc_monitor = acc_record = 0.0
-            n_control = n_monitor = n_record = ctl_due = 0
-
+    def _advance_window(
+        self,
+        j: int,
+        e: int,
+        applied: np.ndarray,
+        times: list[float],
+        times_arr: np.ndarray,
+        clock: Any,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the plant over chunk steps ``j..e-1`` in closed form."""
         plant = self._plant
-        sensing = self._sensing
-        observe = sensing.observe
-        pop_until = sensing.pop_until
-        decimation = self._decimation
-        channels = self._channels
-        coupled = self._coupled
-        decoupled = coupled and self._decoupled
-        injector = self._injector
-        fan_fault_rows = self._fan_fault_rows
-        monitor = self._monitor
+        n, w = applied.shape
+        # Feed-forward trajectories: cap and fan are frozen, so the
+        # whole window's power profile is two broadcasts.  The
+        # plant-coefficient column views are cached per plant version
+        # (fan/fouling changes rebuild them).
+        if self._coeff_version != plant.version:
+            self._coeff_version = plant.version
+            self._coeff_cache.clear()
+            self._cols = (
+                plant.p_static[:, None],
+                plant.p_dynamic[:, None],
+                plant.n_sockets[:, None],
+                plant.r_hs[:, None],
+                plant.r_die[:, None],
+            )
+        p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c = self._cols
+        socket_p = p_static_c + p_dynamic_c * applied
+        cpu_w = socket_p * n_sockets_c
+        if clock is not None:
+            clock.lap("plant")
 
-        j = 0
-        while j < m:
-            if obs is not None:
-                t_prev = _pc()
-            if injector is not None:
-                t0 = times[j]
-                t0_plus = t0 + 1e-9
-                if t0_plus >= self._next_plant_change:
-                    self._refresh_faulted_plants(
-                        injector.pop_plant_changes(t0), t0
+        # Inlet ambients for the window.  Column 0 reads the lagged
+        # plant-state mirrors (exhaust of step k feeds inlets at step
+        # k+1); later columns the now-frozen fan power and the
+        # feed-forward CPU powers - the same values the per-dt mirror
+        # updates would have produced.
+        if self._coupled:
+            if self._decoupled:
+                self._last_offsets = self._zero_offsets
+                ambient = np.broadcast_to(self._room_col, (n, w))
+            else:
+                speeds_old = self._state_fan_speed
+                if self._conductance_for is not speeds_old:
+                    self._conductance = np.maximum(
+                        self._g_floor,
+                        self._g_max * speeds_old / self._v_max_exh,
                     )
-                    self._next_plant_change = injector.next_plant_change_s
-                if t0_plus >= self._next_crac_change:
-                    injector.poll_crac(t0)
-                    self._next_crac_change = injector.next_crac_change_s
-                if obs is not None:
-                    t_now = _pc()
-                    acc_faults += t_now - t_prev
-                    t_prev = t_now
-
-            # Window discovery: the longest step run with the loop held
-            # open.  Ends *at* the first control-due step (the decision
-            # runs after that step's physics, as on the per-dt lanes)
-            # and *before* any step with a fault change due, so the
-            # transforms refresh at their exact instants.
-            next_change = min(self._next_plant_change, self._next_crac_change)
-            ctl_bound = self._next_control_min
-            ctl = False
-            e = j
-            while True:
-                t_i_plus = times[e] + 1e-9
-                if e > j and t_i_plus >= next_change:
-                    break
-                ctl = ctl_bound <= t_i_plus
-                e += 1
-                if ctl or e >= m:
-                    break
-            w = e - j
-
-            # Feed-forward trajectories: cap and fan are frozen, so the
-            # whole window's power profile is three broadcasts.  The
-            # plant-coefficient column views are cached per plant
-            # version (fan/fouling changes rebuild them).
-            if self._coeff_version != plant.version:
-                self._coeff_version = plant.version
-                self._coeff_cache.clear()
-                self._cols = (
-                    plant.p_static[:, None],
-                    plant.p_dynamic[:, None],
-                    plant.n_sockets[:, None],
-                    plant.r_hs[:, None],
-                    plant.r_die[:, None],
-                )
-            p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c = self._cols
-            dem = demands[:, j:e]
-            applied = np.minimum(dem, self._cap[:, None])
-            socket_p = p_static_c + p_dynamic_c * applied
-            cpu_w = socket_p * n_sockets_c
-            if obs is not None:
-                t_now = _pc()
-                acc_plant += t_now - t_prev
-                t_prev = t_now
-
-            # Inlet ambients for the window.  Column 0 reads the lagged
-            # plant-state mirrors (exhaust of step k feeds inlets at
-            # step k+1); later columns the now-frozen fan power and the
-            # feed-forward CPU powers - the same values the per-dt
-            # mirror updates would have produced.
-            if coupled:
-                if decoupled:
-                    self._last_offsets = self._zero_offsets
-                    ambient = np.broadcast_to(self._room_col, (n, w))
+                    self._conductance_for = speeds_old
+                g_old = self._conductance
+                speeds_new = plant.clamped_speed
+                if speeds_new is speeds_old:
+                    g_new = g_old
                 else:
-                    speeds_old = self._state_fan_speed
-                    if self._conductance_for is not speeds_old:
-                        self._conductance = np.maximum(
-                            self._g_floor,
-                            self._g_max * speeds_old / self._v_max_exh,
-                        )
-                        self._conductance_for = speeds_old
-                    g_old = self._conductance
-                    speeds_new = plant.clamped_speed
-                    if speeds_new is speeds_old:
-                        g_new = g_old
-                    else:
-                        g_new = np.maximum(
-                            self._g_floor,
-                            self._g_max * speeds_new / self._v_max_exh,
-                        )
-                        self._conductance = g_new
-                        self._conductance_for = speeds_new
-                    rises = np.empty((n, w))
+                    g_new = np.maximum(
+                        self._g_floor,
+                        self._g_max * speeds_new / self._v_max_exh,
+                    )
+                    self._conductance = g_new
+                    self._conductance_for = speeds_new
+                rises = np.empty((n, w))
+                np.divide(
+                    self._state_cpu_w + self._state_fan_w,
+                    g_old,
+                    out=rises[:, 0],
+                )
+                if w > 1:
                     np.divide(
-                        self._state_cpu_w + self._state_fan_w,
-                        g_old,
-                        out=rises[:, 0],
+                        cpu_w[:, :-1] + plant.fan_w[:, None],
+                        g_new[:, None],
+                        out=rises[:, 1:],
                     )
-                    if w > 1:
-                        np.divide(
-                            cpu_w[:, :-1] + plant.fan_w[:, None],
-                            g_new[:, None],
-                            out=rises[:, 1:],
-                        )
-                    offsets = self._coupling_window(rises)
-                    self._last_offsets = offsets[:, -1].copy()
-                    ambient = offsets
-                    ambient += self._room_col
-                self._inlet_sums += ambient.sum(axis=1)
-                if obs is not None:
-                    t_now = _pc()
-                    acc_coupling += t_now - t_prev
-                    t_prev = t_now
-            else:
-                ambient = self._ambient_const[:, None]
+                offsets = self._coupling.apply_window(rises)
+                self._last_offsets = offsets[:, -1].copy()
+                ambient = offsets
+                ambient += self._room_col
+            self._inlet_sums += ambient.sum(axis=1)
+            if clock is not None:
+                clock.lap("coupling")
+        else:
+            ambient = self._ambient_const[:, None]
 
-            # Thermal scans: heat sink first (its forcing is closed
-            # over ambient + socket power), then the die riding on it.
-            hs_ss = r_hs_c * socket_p
-            hs_ss += ambient
-            hs_out = self._scan(plant.hs_temp, plant.hs_decay, hs_ss, "hs")
-            die_ss = r_die_c * socket_p
-            die_ss += hs_out
-            die_out = self._scan(plant.die_temp, plant.die_decay, die_ss, "die")
-            plant.hs_temp = hs_out[:, -1]
-            plant.die_temp = die_out[:, -1]
-            plant.check_finite()
+        # Thermal scans: heat sink first (its forcing is closed over
+        # ambient + socket power), then the die riding on it.
+        hs_ss = r_hs_c * socket_p
+        hs_ss += ambient
+        hs_out = self._scan(plant.hs_temp, plant.hs_decay, hs_ss, "hs")
+        die_ss = r_die_c * socket_p
+        die_ss += hs_out
+        die_out = self._scan(plant.die_temp, plant.die_decay, die_ss, "die")
+        plant.hs_temp = hs_out[:, -1]
+        plant.die_temp = die_out[:, -1]
 
-            # Mirror + energy updates once per window; the mirrors hold
-            # column views (their window buffers are never written
-            # again).  fan_w/clamped references detach on the next fan
-            # change (copy-on-write in the plant), exactly as in the
-            # per-dt loop.
-            fan_w = plant.fan_w
-            last_cpu = cpu_w[:, -1]
-            self._state_fan_speed = plant.clamped_speed
-            self._state_cpu_w = last_cpu
-            self._state_fan_w = fan_w
-            self._last_applied = applied[:, -1]
-            if coupled:
-                # Decoupled ambient is a broadcast view of the (CRAC-
-                # mutable) room array, so snapshot it by value.
-                self._last_ambient = (
-                    self._room.copy() if decoupled else ambient[:, -1]
-                )
-            else:
-                self._last_ambient = self._ambient_const
+        # Energy once per window, pairing column 0 with the plant-state
+        # mirrors of the previous step.
+        fan_w = plant.fan_w
+        t_end = times[e - 1]
+        dt0 = times[j] - self._energy_last_t
+        dts = np.empty(w)
+        dts[0] = dt0
+        if w > 1:
+            np.subtract(times_arr[j + 1 : e], times_arr[j : e - 1], out=dts[1:])
+        prev_cpu = np.empty((n, w))
+        prev_cpu[:, 0] = self._state_cpu_w
+        if w > 1:
+            prev_cpu[:, 1:] = cpu_w[:, :-1]
+        prev_cpu += cpu_w
+        self._cpu_j += prev_cpu @ (0.5 * dts)
+        self._fan_j += (
+            0.5 * dt0
+        ) * (self._state_fan_w + fan_w) + (t_end - times[j]) * fan_w
+        self._energy_last_t = t_end
 
-            t_end = times[e - 1]
-            dt0 = times[j] - self._energy_last_t
-            dts = np.empty(w)
-            dts[0] = dt0
-            if w > 1:
-                np.subtract(
-                    times_arr[j + 1 : e], times_arr[j : e - 1], out=dts[1:]
-                )
-            prev_cpu = np.empty((n, w))
-            prev_cpu[:, 0] = self._energy_last_cpu
-            if w > 1:
-                prev_cpu[:, 1:] = cpu_w[:, :-1]
-            prev_cpu += cpu_w
-            self._cpu_j += prev_cpu @ (0.5 * dts)
-            self._fan_j += (
-                0.5 * dt0
-            ) * (self._energy_last_fan + fan_w) + (t_end - times[j]) * fan_w
-            self._energy_last_cpu = last_cpu
-            self._energy_last_fan = fan_w
-            self._energy_last_t = t_end
-            if obs is not None:
-                t_now = _pc()
-                acc_plant += t_now - t_prev
-                t_prev = t_now
-
-            # Per-step tail: sensing cadence, the window-ending control
-            # decision, and telemetry records.  The compares mirror the
-            # early-return bounds inside observe/pop_until, so state
-            # evolves exactly as if both ran every step.
-            for c in range(w):
-                kk = j + c
-                t = times[kk]
-                t_plus = t + 1e-9
-                if sensing._next_due <= t_plus:
-                    observe(t, t_plus, die_out[:, c])
-                if sensing._next_arrival <= t:
-                    pop_until(t)
-                if ctl and c == w - 1:
-                    if obs is not None:
-                        t_now = _pc()
-                        acc_sensing += t_now - t_prev
-                        t_prev = t_now
-                    if self._ctrl_uniform:
-                        # One shared period: due is always whole-rack.
-                        due_idx = self._all_idx
-                    else:
-                        due = self._next_control <= t_plus
-                        due_idx = np.nonzero(due)[0]
-                    self._control_step(due_idx, t, t_plus, dem[:, c], applied[:, c])
-                    self._next_control_min = float(self._next_control.min())
-                    if obs is not None:
-                        t_now = _pc()
-                        acc_control += t_now - t_prev
-                        t_prev = t_now
-                        n_control += 1
-                        ctl_due += due_idx.size
-                # Health monitoring: per-step like the per-dt lanes
-                # (mid-window fan/cap are frozen there too, so the
-                # sampled decision channels match bitwise).  A non-None
-                # monitor implies a live collector.
-                if monitor is not None and t_plus >= monitor.next_due_s:
-                    t_now = _pc()
-                    acc_sensing += t_now - t_prev
-                    t_prev = t_now
-                    monitor.ingest_batch(
-                        t, sensing.current, self._fan_cmd, applied[:, c]
-                    )
-                    t_now = _pc()
-                    acc_monitor += t_now - t_prev
-                    t_prev = t_now
-                    n_monitor += 1
-                k = k0 + kk
-                if k % decimation == 0:
-                    if obs is not None:
-                        t_now = _pc()
-                        acc_sensing += t_now - t_prev
-                        t_prev = t_now
-                    r = self._record_idx
-                    channels["time"][:, r] = t
-                    channels["junction"][:, r] = die_out[:, c]
-                    channels["heatsink"][:, r] = hs_out[:, c]
-                    channels["tmeas"][:, r] = sensing.current
-                    channels["fan_speed"][:, r] = self._fan_cmd
-                    if fan_fault_rows:
-                        for i in fan_fault_rows:
-                            state = self._fan_fault_states[i]
-                            channels["fan_speed"][i, r] = state.reported(
-                                t, state.actual(t, float(self._fan_cmd[i]))
-                            )
-                    channels["cpu_cap"][:, r] = self._cap
-                    channels["demand"][:, r] = dem[:, c]
-                    channels["applied"][:, r] = applied[:, c]
-                    channels["t_ref"][:, r] = self._t_ref
-                    self._record_idx = r + 1
-                    if obs is not None:
-                        t_now = _pc()
-                        acc_record += t_now - t_prev
-                        t_prev = t_now
-                        n_record += 1
-            if obs is not None:
-                acc_sensing += _pc() - t_prev
-                obs.tick(times[e - 1], n * w)
-            j = e
-
-        if obs is not None:
-            if injector is not None:
-                obs.phase_add("faults", acc_faults, m)
-            if coupled:
-                obs.phase_add("coupling", acc_coupling, m)
-            obs.phase_add("plant", acc_plant, m)
-            obs.phase_add("sensing", acc_sensing, m)
-            if n_control:
-                obs.phase_add("control", acc_control, n_control)
-                obs.count("control_steps", ctl_due)
-            if n_monitor:
-                obs.phase_add("monitor", acc_monitor, n_monitor)
-            if n_record:
-                obs.phase_add("record", acc_record, n_record)
-        plant.check_finite()
-        self._k = k0 + m
+        # The mirrors hold column views (their window buffers are never
+        # written again).  fan_w/clamped references detach on the next
+        # fan change (copy-on-write in the plant), as in the exact scan.
+        self._state_fan_speed = plant.clamped_speed
+        self._state_cpu_w = cpu_w[:, -1]
+        self._state_fan_w = fan_w
+        self._last_applied = applied[:, -1]
+        if self._coupled:
+            # Decoupled ambient is a broadcast view of the (CRAC-
+            # mutable) room array, so snapshot it by value.
+            self._last_ambient = (
+                self._room.copy() if self._decoupled else ambient[:, -1]
+            )
+        else:
+            self._last_ambient = self._ambient_const
+        if clock is not None:
+            clock.lap("plant")
+        # Row c of the transposes is step c's (B,) temperatures.
+        return die_out.T, hs_out.T

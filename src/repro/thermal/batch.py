@@ -168,8 +168,8 @@ class BatchThermalPlant:
 
         sum() is non-finite iff any element is (NaN propagates, inf
         saturates or cancels to NaN) - one cheap reduction.  NaN/inf
-        contamination is permanent once present, so the stepper probes
-        periodically instead of after every ``advance``.
+        contamination is permanent once present, so the steppers probe
+        once per window instead of after every ``advance``.
         """
         if not math.isfinite(float(self.die_temp.sum())):
             raise ThermalModelError("batch thermal state diverged")

@@ -17,10 +17,13 @@ The randomized tests draw topologies (rack width, recirculation
 fraction), workloads/seeds, Table III schemes, and fault schedules from
 hypothesis; the deterministic tests pin every scheme on the array lane
 (zero controller fallbacks), scalar-resume-after-fused sync-back, and
-the ``REPRO_DISABLE_NUMBA`` scan-kernel gate.
+divergence detection on both array lanes.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,15 +31,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FleetConfig, RoomConfig
+from repro.errors import ThermalModelError
 from repro.faults.events import FaultEvent, FaultSchedule
-from repro.fleet import FleetSimulator, build_fleet_scenario
+from repro.fleet import FleetSimulator, Rack, build_fleet_scenario, homogeneous_rack
 from repro.room import RoomSimulator, uniform_room
-from repro.sim.backends import (
-    batch_backend_names,
-    fused_scan_impl,
-    numba_available,
-    numba_disabled,
-)
+from repro.sim.batch import BatchSensorBank
+from repro.workload.base import Workload
 
 _DT = 0.1
 
@@ -152,10 +152,6 @@ class TestTableThreeSchemes:
         fused = _run("fused", scheme)
         assert fused.extras["controller_backend"] == "vectorized"
         assert "controller_fallbacks" not in fused.extras
-        assert fused.extras["scan_impl"] == fused_scan_impl()
-
-    def test_backend_registry_names(self):
-        assert batch_backend_names() == ("fused", "vectorized")
 
 
 # Fault kinds the randomized schedules draw from, with magnitude rules.
@@ -290,28 +286,41 @@ class TestScalarResumeAfterFused:
                 ), f"resumed server {i} channel {name}"
 
 
-class TestNumbaGate:
-    """The scan-kernel selection respects the environment gate and the
-    fused backend stays within tier B on the NumPy fallback."""
+class _NanAfter(Workload):
+    """A workload whose demand turns NaN from ``t_nan`` on."""
 
-    def test_scan_impl_consistent_with_gates(self):
-        impl = fused_scan_impl()
-        assert impl in ("numba", "numpy")
-        assert impl == ("numba" if numba_available() else "numpy")
+    def __init__(self, inner: Workload, t_nan: float) -> None:
+        self._inner = inner
+        self._t_nan = t_nan
 
-    def test_disable_env_forces_numpy_scan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        assert numba_disabled()
-        assert not numba_available()
-        assert fused_scan_impl() == "numpy"
-        vectorized = _run("vectorized", "rcoord", duration=30.0)
-        fused = _run("fused", "rcoord", duration=30.0)
-        assert fused.extras["scan_impl"] == "numpy"
-        assert_tier_b(vectorized, fused)
+    def demand(self, t_s: float) -> float:
+        return math.nan if t_s >= self._t_nan else self._inner.demand(t_s)
 
-    def test_disable_env_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "0")
-        assert not numba_disabled()
+
+class TestDivergenceDetection:
+    """A diverging plant raises before any non-finite junction
+    temperature reaches the sensing pipeline: every window ends with
+    one ``check_finite`` probe, ahead of its sensing tail."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
+    def test_nan_never_reaches_sensing(self, backend, monkeypatch):
+        rack = homogeneous_rack(n_servers=4, duration_s=60.0, seed=0)
+        slots = list(rack.slots)
+        slots[1] = replace(slots[1], workload=_NanAfter(slots[1].workload, 20.0))
+        rack = Rack(slots, coupling=rack.coupling, exhaust=rack.exhaust)
+        observe = BatchSensorBank.observe
+        non_finite = []
+
+        def counting_observe(self, time_s, time_plus, true_temps):
+            non_finite.append(int(np.count_nonzero(~np.isfinite(true_temps))))
+            return observe(self, time_s, time_plus, true_temps)
+
+        monkeypatch.setattr(BatchSensorBank, "observe", counting_observe)
+        sim = FleetSimulator(rack, dt_s=_DT, backend=backend)
+        with pytest.raises(ThermalModelError):
+            sim.run(60.0)
+        assert non_finite, "the run never reached sensing"
+        assert sum(non_finite) == 0
 
 
 class TestRoomConformance:

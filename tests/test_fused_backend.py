@@ -5,24 +5,33 @@ The fused kernel (:mod:`repro.sim.fused`) caches two things per plant
 node and window width) and the plant-coefficient column views - because
 :class:`~repro.sim.batch.BatchThermalPlant` mutates its coefficient
 arrays **in place** (array identity never changes).  These tests pin the
-version counter's bump rules and prove the fused caches go stale and
+version counter's bump rules, prove the fused caches go stale and
 rebuild at exactly the instants fan commands or mid-run fouling faults
-change the coefficients.
+change the coefficients, and hold the closed-form scan to the exact
+recurrence across its span edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import FleetConfig, ServerConfig
 from repro.faults.events import FaultEvent, FaultSchedule
 from repro.fleet import FleetSimulator, build_fleet_scenario
+from repro.sim.backends import exp_scan_numpy, scan_tables
 from repro.sim.batch import BatchThermalPlant
 from repro.sim.fused import FusedStepper
 from repro.thermal.server import ServerThermalModel
 
 _DT = 0.1
+
+#: Tier-B thermal bound (docs/backends.md), in degC.
+_SCAN_ATOL = 1e-9
+#: Widths above this stay one closed-form block in the property test.
+_SCAN_MAX_SPAN = 2000
 
 
 def _plants(n=3):
@@ -124,8 +133,7 @@ class TestFusedCoefficientCache:
         # until the next window boundary.
         assert 0 <= stepper._coeff_version <= plant.version
         assert stepper._cols is not None
-        if stepper.scan_impl == "numpy":
-            assert stepper._coeff_cache
+        assert stepper._coeff_cache
         # A coefficient write leaves them stale for the next window
         # check to rebuild.
         v = stepper._coeff_version
@@ -233,3 +241,60 @@ class TestWindowSemantics:
                 assert np.max(
                     np.abs(sv.channels[name] - sf.channels[name])
                 ) < 1e-9
+
+
+def _recurrence(x0, decay, forcing):
+    """The exact per-step recurrence ``x <- s + (x - s) * a``."""
+    out = np.empty_like(forcing)
+    x = x0
+    for c in range(forcing.shape[1]):
+        s = forcing[:, c]
+        x = s + (x - s) * decay
+        out[:, c] = x
+    return out
+
+
+#: Per-row decays: exactly 0, underflowing ones, and the plant's range.
+_DECAYS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-200, 1e-310, 5e-324]),
+    st.floats(min_value=0.5, max_value=0.9999999),
+)
+
+
+@st.composite
+def _scan_case(draw):
+    decay = np.array(draw(st.lists(_DECAYS, min_size=1, max_size=4)))
+    # Spans past _SCAN_MAX_SPAN are one block at any width tested here.
+    span = scan_tables(decay, _SCAN_MAX_SPAN)[2]
+    kind = draw(st.sampled_from(["1", "span-1", "span", "span+1", "spans"]))
+    if kind == "spans":
+        w = draw(st.integers(2, 4)) * span + draw(st.integers(0, span - 1))
+    else:
+        w = {"1": 1, "span-1": span - 1, "span": span, "span+1": span + 1}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(20.0, 120.0, decay.size)
+    forcing = rng.uniform(20.0, 120.0, (decay.size, max(1, w)))
+    return x0, decay, forcing
+
+
+class TestClosedFormScan:
+    """The fused lane's scan against the exact recurrence, built from the
+    stepper's own tables: single blocks and restarts past the span."""
+
+    def test_span_edges(self):
+        for a in (0.0, 1e-200, 5e-324):
+            assert scan_tables(np.array([a, 0.9]), 50)[2] == 1
+        # Mixed rows: the span follows the smallest decay.
+        alone = scan_tables(np.array([0.5]), 100)[2]
+        assert 1 < alone < 100
+        assert scan_tables(np.array([0.9999999, 0.5]), 100)[2] == alone
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_scan_case())
+    def test_matches_recurrence(self, case):
+        x0, decay, forcing = case
+        powers, geom, span = scan_tables(decay, forcing.shape[1])
+        got = exp_scan_numpy(x0, forcing, powers, geom, span)
+        want = _recurrence(x0, decay, forcing)
+        assert np.max(np.abs(got - want)) <= _SCAN_ATOL
