@@ -824,9 +824,12 @@ class BatchStepper:
                     self._record_idx = r + 1
                     if clock is not None:
                         clock.lap("record")
+                # Step counters and streamed snapshots advance per step,
+                # at the scalar lane's instants.
+                if obs is not None:
+                    obs.tick(t, n)
             if clock is not None:
                 clock.lap("sensing")
-                obs.tick(times[e - 1], n * (e - j))
             j = e
 
         if clock is not None:

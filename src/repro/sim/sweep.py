@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
+from repro.sim.backends import BACKENDS
 from repro.sim.batch import BatchRunSpec, run_batch
 from repro.sim.parallel import parallel_map
 from repro.sim.result import SimulationResult
@@ -83,27 +84,26 @@ class ParameterSweep:
         ``backend="scalar"`` (default) uses the runner path; ``workers``
         > 1 then runs the sweep points across a process pool (the runner
         must be picklable, e.g. a module-level function).
-        ``backend="vectorized"`` builds every point's spec and runs the
-        whole grid through the batch backend in-process (``workers`` is
-        ignored); grids the batch backend cannot represent fall back to
-        per-spec scalar simulation with identical results.  Point order
-        always matches ``values``, and metric extractors run in the
-        parent process so they may be lambdas either way.
+        Any other name in :data:`~repro.sim.backends.BACKENDS`
+        (``"auto"``, ``"vectorized"``, ``"fused"``) builds every point's
+        spec and runs the whole grid through that batch lane in-process
+        (``workers`` is ignored); grids the batch lanes cannot represent
+        fall back to per-spec scalar simulation.  Point order always
+        matches ``values``, and metric extractors run in the parent
+        process so they may be lambdas either way.
         """
         if not values:
             raise SimulationError("sweep needs at least one parameter value")
-        if backend in ("vectorized", "fused"):
-            results = self._run_specs(values, batch_backend=backend)
-        elif backend == "scalar":
-            if self._runner is not None:
-                results = parallel_map(self._runner, values, workers=workers)
-            else:
-                results = self._run_specs(values, force_scalar=True)
-        else:
+        if backend not in BACKENDS:
             raise SimulationError(
-                f"unknown backend {backend!r}; choose 'scalar', 'vectorized',"
-                " or 'fused'"
+                f"unknown backend {backend!r}; choose from {BACKENDS}"
             )
+        if backend != "scalar":
+            results = self._run_specs(values, batch_backend=backend)
+        elif self._runner is not None:
+            results = parallel_map(self._runner, values, workers=workers)
+        else:
+            results = self._run_specs(values, force_scalar=True)
         points = []
         for value, result in zip(values, results):
             metrics = {

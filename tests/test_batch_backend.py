@@ -211,6 +211,21 @@ class TestSweepEquivalence:
         points = ParameterSweep(spec_builder=_sweep_spec).run([0.0, 10.0])
         assert [p.result.label for p in points] == ["lag=0.0", "lag=10.0"]
 
+    def test_auto_sweep_runs_vectorized_lane(self):
+        values = [0.0, 10.0]
+        sweep = ParameterSweep(spec_builder=_sweep_spec)
+        auto = sweep.run(values, backend="auto")
+        vectorized = sweep.run(values, backend="vectorized")
+        for pa, pv in zip(auto, vectorized):
+            for name, channel in pa.result.channels.items():
+                assert np.array_equal(channel, pv.result.channels[name])
+            assert pa.result.energy == pv.result.energy
+
+    def test_unknown_backend_rejected(self):
+        sweep = ParameterSweep(_sweep_runner, spec_builder=_sweep_spec)
+        with pytest.raises(SimulationError, match="choose from"):
+            sweep.run([1.0], backend="vectorised")
+
     def test_vectorized_without_spec_builder_rejected(self):
         sweep = ParameterSweep(_sweep_runner)
         with pytest.raises(SimulationError):

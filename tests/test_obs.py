@@ -385,6 +385,28 @@ class TestLanesBitForBit:
         assert obs["counters"]["failsafe_engagements"] == engagements
         assert "faults" in obs["phases"] or backend == "scalar"
 
+    def test_streamed_snapshots_match_across_backends(self):
+        # Every lane ticks once per step, so streamed snapshots land at
+        # the scalar lane's simulation instants; on the array lanes each
+        # snapshot counts exactly the whole-rack steps taken so far.
+        def snapshots(backend):
+            obs = ObsCollector(ObsConfig(emit_every_s=6.25))
+            rack = homogeneous_rack(n_servers=4, duration_s=60.0, seed=5)
+            FleetSimulator(rack, dt_s=0.1, backend=backend, obs=obs).run(60.0)
+            return [
+                rec for rec in obs.sink.records if rec["type"] == "metrics"
+            ]
+
+        scalar = snapshots("scalar")
+        times = [rec["sim_time_s"] for rec in scalar]
+        assert len(times) == 9
+        for backend in ("vectorized", "fused"):
+            recs = snapshots(backend)
+            assert [rec["sim_time_s"] for rec in recs] == times
+            for rec in recs:
+                steps = round(rec["sim_time_s"] / 0.1)
+                assert rec["counters"]["server_steps"] == 4 * steps
+
     def test_failsafe_counter_matches_across_backends(self):
         def counters(backend):
             rack = homogeneous_rack(n_servers=4, duration_s=60.0, seed=5)
