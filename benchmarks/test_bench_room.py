@@ -12,9 +12,9 @@ The stacked run must stay on an array path end to end - the backend and
 controller-backend assertions run in smoke mode too, so CI fails if the
 room path ever falls back to scalar.  The fused-vs-vectorized benchmark
 races the per-window fused kernel against the per-``dt`` vectorized
-stepper on the 16x16 room and gates the ratio (measured ~1.8x; the 4M
-server-steps/sec target needs a compiled kernel - per-server workload
-RNG alone floors the lane near 3.3M, see docs/backends.md).
+stepper on the 16x16 room and gates the ratio (measured ~1.3x median
+once both lanes ran the block-plan coupling; see docs/backends.md for
+the room ceilings).
 """
 
 from __future__ import annotations
@@ -152,8 +152,13 @@ def test_room_scaling_with_rack_count(n_racks):
 _FUSED_N_RACKS = 4 if smoke_mode() else 16
 
 #: Floor for the fused/vectorized stacked ratio at room scale, with
-#: headroom below the measured ~1.8x so host noise does not flake CI.
-_MIN_FUSED_ROOM_RATIO = 1.35
+#: headroom below the measured ratio so host noise does not flake CI:
+#: 0.75x the median of 12 fresh-process runs (1.275x once the block-plan
+#: coupling sped up the vectorized lane), rounded down to 0.05.  A fused
+#: lane that fell back to per-column work would run far below the
+#: vectorized lane; absolute fused room speed is guarded by perfbench's
+#: room16x16 fused_server_steps_per_s.
+_MIN_FUSED_ROOM_RATIO = 0.95
 
 
 def test_room_fused_vs_vectorized_stacked():

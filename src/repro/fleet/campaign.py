@@ -38,7 +38,7 @@ from repro.fleet.scenarios import FLEET_SCENARIOS, build_fleet_scenario
 from repro.fleet.simulator import FleetSimulator
 from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
-from repro.sim.backends import batch_stepper
+from repro.sim.backends import BACKENDS, batch_stepper
 from repro.sim.parallel import parallel_map, resolve_workers
 
 #: Default racks per stacked chunk.  Past ~4 racks the per-``dt``
@@ -79,6 +79,10 @@ class CampaignTask:
             raise FleetError(
                 f"unknown fleet scenario {self.scenario!r}; choose from "
                 f"{sorted(FLEET_SCENARIOS)}"
+            )
+        if self.backend not in BACKENDS:
+            raise FleetError(
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         if self.obs is not None and not isinstance(self.obs, ObsConfig):
             raise FleetError(

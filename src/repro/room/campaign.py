@@ -30,6 +30,7 @@ from repro.obs.collector import ObsConfig
 from repro.room.result import RoomResult
 from repro.room.scenarios import ROOM_SCENARIOS, build_room_scenario
 from repro.room.simulator import RoomSimulator
+from repro.sim.backends import BACKENDS
 
 
 def _room_fault_scenarios() -> dict:
@@ -91,6 +92,10 @@ class RoomTask:
             raise FleetError(
                 f"unknown room scenario {self.scenario!r}; choose from "
                 f"{sorted(ROOM_SCENARIOS) + sorted(fault_scenarios)}"
+            )
+        if self.backend not in BACKENDS:
+            raise FleetError(
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         if self.scenario in fault_scenarios and self.faults is not None:
             raise FleetError(

@@ -15,13 +15,24 @@ stores exactly that structure instead of the ``(N, N)`` dense matrix:
   every server through shared plenum air - how the CRAC supply-return
   loop enters the operator (rank one per CRAC unit).
 
-:meth:`SparseCoupling.apply` is a block-sparse mat-vec: per-rack gemvs
-plus one small gemv per stored cross block plus ``2K`` dot products for
-the rank-``K`` term - ``O(sum B_r**2)`` instead of ``O(N**2)``.  With no
-cross blocks and no low-rank term each rack's offsets are computed by
-*the same gemv on the same values* as a standalone dense rack, which is
-what makes a zero-inter-rack room bit-for-bit equal to independent
-per-rack runs.
+:meth:`SparseCoupling.apply` is a block-sparse mat-vec: one gemv per
+rack block plus one per stored cross block plus ``2K`` dot products for
+the rank-``K`` term - ``O(sum B_r**2)`` instead of ``O(N**2)``.  When
+every rack has the same width ``B`` (every room the scenario builders
+make), the constructor stacks those blocks into a **block plan**: the
+diagonal blocks as one ``(R, B, B)`` array, and the cross blocks in
+rounds whose destination racks are distinct.  :meth:`~SparseCoupling.
+apply` then runs one stacked matmul plus one gathered stacked matmul
+per round instead of a Python loop over racks and pairs, and
+:meth:`~SparseCoupling.apply_window` runs the same plan on a whole
+``(N, w)`` window.  NumPy hands each ``(B, B)`` slice of a stacked
+matmul to the same BLAS gemv (or gemm, for a window) the per-rack loop
+calls, and each rack sums its cross terms in the same order, so the
+plan's floats equal the loop's bit for bit.  With no cross blocks and
+no low-rank term each rack's offsets are therefore computed by *the
+same gemv on the same values* as a standalone dense rack, which is what
+makes a zero-inter-rack room bit-for-bit equal to independent per-rack
+runs.  Racks of different widths run the per-rack loop itself.
 """
 
 from __future__ import annotations
@@ -217,10 +228,34 @@ class SparseCoupling(CouplingOperator):
                         )
                 self._crac_unit_rows = rows
 
-        # Lazily-built (R, B, B) stack of the diagonal blocks for
-        # apply_window's batched matmul; False marks ragged block sizes
-        # (fall back to the per-rack loop).
-        self._stacked: np.ndarray | bool | None = None
+        # Block plan for racks of one width (every room the scenario
+        # builders make): the diagonal blocks as one (R, B, B) stack,
+        # and the cross blocks grouped into rounds of (dst, src, stack).
+        # Round k holds each destination's k-th stored cross block in
+        # dict order, so a round's destinations are distinct and each
+        # destination still sums its cross terms in dict order.  Racks
+        # of different widths leave the plan empty (_diag is None) and
+        # run the per-rack loop.
+        self._diag: np.ndarray | None = None
+        self._rounds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
+        if len(set(sizes)) == 1:
+            self._diag = np.stack(self._blocks)
+            rounds: list[list[tuple[int, int, np.ndarray]]] = []
+            depth: dict[int, int] = {}
+            for (dst, src), matrix in self._cross.items():
+                k = depth.get(dst, 0)
+                depth[dst] = k + 1
+                if k == len(rounds):
+                    rounds.append([])
+                rounds[k].append((dst, src, matrix))
+            self._rounds = tuple(
+                (
+                    np.array([dst for dst, _, _ in terms], dtype=np.intp),
+                    np.array([src for _, src, _ in terms], dtype=np.intp),
+                    np.stack([matrix for _, _, matrix in terms]),
+                )
+                for terms in rounds
+            )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -373,13 +408,46 @@ class SparseCoupling(CouplingOperator):
     # ------------------------------------------------------------------
     # The operator
 
+    def _block_terms(self, rises_c: np.ndarray) -> np.ndarray:
+        """Diagonal plus cross terms for ``(N,)`` rises or an ``(N, w)`` window.
+
+        With the block plan: one stacked matmul of the diagonal blocks
+        over ``rises`` viewed as ``(R, B, w)`` (``w = 1`` for a vector),
+        then per round one gathered stacked matmul added into the
+        round's destination racks.  Each ``(B, B) @ (B, 1)`` slice runs
+        the same BLAS gemv as ``block @ rises[start:stop]`` and each
+        ``(B, w)`` slice the same gemm as ``block @ rises[start:stop,
+        :]``, so the floats equal the per-rack loop's bit for bit.
+        """
+        out = np.empty(rises_c.shape)
+        diag = self._diag
+        if diag is None:
+            for start, stop, block in zip(self._starts, self._stops, self._blocks):
+                out[start:stop] = block @ rises_c[start:stop]
+            for (dst, src), matrix in self._cross.items():
+                out[self._starts[dst] : self._stops[dst]] += (
+                    matrix @ rises_c[self._starts[src] : self._stops[src]]
+                )
+            return out
+        r, b, _ = diag.shape
+        shape = (r, b, 1 if rises_c.ndim == 1 else rises_c.shape[1])
+        x = rises_c.reshape(shape)
+        y = out.reshape(shape)
+        np.matmul(diag, x, out=y)
+        for dst, src, stack in self._rounds:
+            y[dst] += np.matmul(stack, x[src])
+        return out
+
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
         """Block-sparse mat-vec (plus the low-rank term); no validation.
 
-        With no cross blocks and no feedback this runs exactly one
-        ``block @ rises[slice]`` per rack - the identical gemv a
-        standalone dense rack runs - so zero-inter-rack rooms stay
-        bit-for-bit equal to independent per-rack simulations.
+        Runs the block plan on ``rises`` viewed as ``(R, B, 1)``: one
+        stacked matmul of the diagonal blocks, one gathered stacked
+        matmul and one add per cross-block round, then the low-rank
+        term.  Every slice is the gemv a per-rack ``block @
+        rises[slice]`` runs, so zero-inter-rack rooms stay bit-for-bit
+        equal to independent per-rack simulations.  Racks of different
+        widths run that per-rack loop itself.
 
         Dynamic operators advance their supply-filter states here (one
         call = one simulation step, which both execution lanes honour);
@@ -387,13 +455,7 @@ class SparseCoupling(CouplingOperator):
         static term the exact all-zero-tau limit: ``target + (state -
         target) * 0.0`` is bitwise ``target`` for finite values.
         """
-        out = np.empty(self._n)
-        for start, stop, block in zip(self._starts, self._stops, self._blocks):
-            out[start:stop] = block @ rises_c[start:stop]
-        for (dst, src), matrix in self._cross.items():
-            out[self._starts[dst] : self._stops[dst]] += (
-                matrix @ rises_c[self._starts[src] : self._stops[src]]
-            )
+        out = self._block_terms(rises_c)
         if self._gain is not None:
             if self._tau is None:
                 out += self._gain.T @ (self._mix @ rises_c)
@@ -410,12 +472,13 @@ class SparseCoupling(CouplingOperator):
     def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
         """Block-sparse mat-*mat* over a ``(N, w)`` window of rises.
 
-        The static operator is linear, so a whole control window
-        collapses into batched gemms: one stacked ``(R, B, B) @
-        (R, B, w)`` matmul when every rack has the same width (one
-        gemm per rack otherwise), one gemm per stored cross block, and
-        two gemms for the low-rank term.  This replaces the fused
-        backend's would-be per-step Python loop over racks.
+        The static operator is linear, so a whole control window runs
+        the same block plan as :meth:`apply` on ``(R, B, w)``: one
+        stacked gemm per rack, one gathered stacked gemm per cross-block
+        round, and two gemms for the low-rank term.  Each slice is the
+        gemm a per-block ``matrix @ rises[rows]`` runs.  A gemm column
+        is not bitwise a gemv, which is why the exact lane keeps calling
+        :meth:`apply` once per step.
 
         Dynamic operators carry supply-filter state that must advance
         once per step, so they take the base class's per-column path -
@@ -423,30 +486,7 @@ class SparseCoupling(CouplingOperator):
         """
         if self._tau is not None:
             return CouplingOperator.apply_window(self, rises_c)
-        out = np.empty(rises_c.shape)
-        stacked = self._stacked
-        if stacked is None:
-            sizes = {b.shape[0] for b in self._blocks}
-            if len(sizes) == 1 and len(self._blocks) > 1:
-                stacked = np.ascontiguousarray(np.stack(self._blocks))
-            else:
-                stacked = False
-            self._stacked = stacked
-        if stacked is not False:
-            r, b, _ = stacked.shape
-            w = rises_c.shape[1]
-            np.matmul(
-                stacked,
-                rises_c.reshape(r, b, w),
-                out=out.reshape(r, b, w),
-            )
-        else:
-            for start, stop, block in zip(self._starts, self._stops, self._blocks):
-                out[start:stop] = block @ rises_c[start:stop]
-        for (dst, src), matrix in self._cross.items():
-            out[self._starts[dst] : self._stops[dst]] += (
-                matrix @ rises_c[self._starts[src] : self._stops[src]]
-            )
+        out = self._block_terms(rises_c)
         if self._gain is not None:
             out += self._gain.T @ (self._mix @ rises_c)
         return out

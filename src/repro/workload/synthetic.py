@@ -16,6 +16,11 @@ from repro.units import check_duration, check_nonnegative, check_utilization, cl
 from repro.workload.base import Workload
 
 
+#: Noise slots a :class:`NoisyWorkload` keeps cached before it clears
+#: the cache (a bounded window of recent slots).
+_NOISE_CACHE_SLOTS = 100_000
+
+
 class ConstantWorkload(Workload):
     """Fixed demand (Fig. 4 uses a stable workload)."""
 
@@ -170,52 +175,73 @@ class NoisyWorkload(Workload):
 
         ``Generator.normal(size=k)`` consumes the bit stream exactly as
         ``k`` scalar draws do, so each maximal run of cache misses is
-        drawn as one array call while the stream position (and therefore
-        every value) stays identical to per-slot :meth:`_noise_for_slot`
-        calls.  Cache lookups happen only *after* all preceding draws -
-        a clear can only turn hits into misses, never the reverse, so a
-        miss-run scanned ahead of its draw is exactly the run the scalar
-        path would draw, and a hit is re-checked once the draws before
-        it (and any clear they triggered) have happened.
+        drawn as one array call and cached with one ``dict.update``
+        while the stream position (and therefore every value) stays
+        identical to per-slot :meth:`_noise_for_slot` calls.  Cache
+        lookups happen only *after* all preceding draws - a clear can
+        only turn hits into misses, never the reverse, so a miss-run
+        scanned ahead of its draw is exactly the run the scalar path
+        would draw, and a hit is re-checked once the draws before it
+        (and any clear they triggered) have happened.
         """
-        out = np.empty(slots.size)
+        keys = slots.tolist()
+        n = len(keys)
+        out = np.empty(n)
         cache = self._noise_cache
-        n = slots.size
+        # The common call - one chunk of ascending times - brings
+        # distinct slots of which at most the first (the one spanning
+        # the chunk boundary) is cached: past that first slot, it is one
+        # run of misses, found by two set operations instead of a scan.
+        fresh = len(set(keys)) == n and not cache.keys() & keys[1:]
         j = 0
         while j < n:
-            hit = cache.get(int(slots[j]))
+            hit = cache.get(keys[j])
             if hit is not None:
                 out[j] = hit
                 j += 1
                 continue
+            k = n if fresh else j + 1
             # A repeated slot (possible on non-ascending public calls)
             # ends the run too: its first draw must land in the cache
             # before the repeat is looked up, exactly like scalar visits.
-            run = {int(slots[j])}
-            k = j + 1
+            run = {keys[j]}
             while k < n:
-                s = int(slots[k])
+                s = keys[k]
                 if s in run or s in cache:
                     break
                 run.add(s)
                 k += 1
             draws = self._rng.normal(0.0, self._std, size=k - j)
-            for p, value in zip(range(j, k), draws):
-                value = float(value)
-                # Bound the cache: keep only a recent window of slots.
-                if len(cache) > 100_000:
-                    cache.clear()
-                cache[int(slots[p])] = value
-                out[p] = value
+            out[j:k] = draws
+            self._cache_run(keys[j:k], draws.tolist())
             j = k
         return out
+
+    def _cache_run(self, keys: list[int], values: list[float]) -> None:
+        """Cache a run of new slots as per-slot inserts would leave it.
+
+        :meth:`_noise_for_slot` clears a cache holding more than
+        ``_NOISE_CACHE_SLOTS`` entries before it inserts, so the clears
+        fall at fixed places in the run: first at the insert that finds
+        ``_NOISE_CACHE_SLOTS + 1`` entries cached, then every
+        ``_NOISE_CACHE_SLOTS + 1`` inserts after it.  Only the inserts
+        from the last clear on survive.
+        """
+        cache = self._noise_cache
+        period = _NOISE_CACHE_SLOTS + 1
+        first = period - len(cache)
+        if first < len(keys):
+            last = first + (len(keys) - 1 - first) // period * period
+            cache.clear()
+            keys, values = keys[last:], values[last:]
+        cache.update(zip(keys, values))
 
     def _noise_for_slot(self, slot: int) -> float:
         noise = self._noise_cache.get(slot)
         if noise is None:
             noise = float(self._rng.normal(0.0, self._std))
             # Bound the cache: keep only a recent window of slots.
-            if len(self._noise_cache) > 100_000:
+            if len(self._noise_cache) > _NOISE_CACHE_SLOTS:
                 self._noise_cache.clear()
             self._noise_cache[slot] = noise
         return noise

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import FleetError, SimulationError
 from repro.fleet import CampaignRunner, CampaignTask, campaign_grid
+from repro.sim.backends import BACKENDS
 from repro.sim.parallel import parallel_map, resolve_workers
 from repro.sim.sweep import ParameterSweep
 
@@ -45,6 +46,12 @@ class TestCampaignTask:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(FleetError):
             CampaignTask(scenario="nope")
+
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(FleetError, match="vectorised"):
+            CampaignTask(scenario="homogeneous", backend="vectorised")
+        for backend in BACKENDS:
+            assert CampaignTask(scenario="homogeneous", backend=backend)
 
     def test_label_is_stable(self):
         task = CampaignTask(

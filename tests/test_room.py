@@ -139,6 +139,138 @@ class TestSparseCoupling:
             )
 
 
+def _loop_block_terms(coupling, rises):
+    """The per-rack and per-pair loop the block plan replaced.
+
+    Works on ``(N,)`` rises (one gemv per block) and on ``(N, w)``
+    windows (one gemm per block); the reference every plan result must
+    equal bit for bit.
+    """
+    bounds = np.concatenate(([0], np.cumsum(coupling.block_sizes)))
+    out = np.empty(rises.shape)
+    for r, block in enumerate(coupling.blocks):
+        out[bounds[r] : bounds[r + 1]] = block @ rises[bounds[r] : bounds[r + 1]]
+    for (dst, src), matrix in coupling.cross_blocks.items():
+        out[bounds[dst] : bounds[dst + 1]] += (
+            matrix @ rises[bounds[src] : bounds[src + 1]]
+        )
+    return out
+
+
+class TestBlockPlan:
+    """apply/apply_window equal the per-rack and per-pair loop bit for bit."""
+
+    @staticmethod
+    def _rises(n, w=None, seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if w is None else (n, w)
+        return rng.uniform(0.0, 25.0, size=shape)
+
+    def _assert_matches_loop(self, coupling, extra=None):
+        """``extra(rises)`` is the low-rank term the operator adds."""
+        for seed, w in enumerate((None, 1, 2, 7, 10)):
+            rises = self._rises(coupling.n_servers, w, seed)
+            expected = _loop_block_terms(coupling, rises)
+            if extra is not None:
+                expected += extra(rises)
+            got = coupling.apply(rises) if w is None else coupling.apply_window(rises)
+            assert np.array_equal(got, expected), (w, seed)
+
+    @pytest.mark.parametrize("name", sorted(ROOM_SCENARIOS))
+    @pytest.mark.parametrize("grid", [(1, 16), (2, 4)])
+    def test_room_scenarios(self, name, grid):
+        cfg = RoomConfig(n_rows=grid[0], racks_per_row=grid[1])
+        coupling = build_room_scenario(
+            name, room=cfg, duration_s=10.0, seed=2
+        ).coupling
+        assert coupling.cross_blocks
+        # The same blocks and cross dict, without the scenario's CRAC
+        # term: exactly the part the block plan computes.
+        self._assert_matches_loop(
+            SparseCoupling(coupling.blocks, cross=coupling.cross_blocks)
+        )
+
+    def test_two_cross_blocks_for_one_destination_out_of_order(self):
+        rng = np.random.default_rng(5)
+        blocks = [0.1 * rng.random((4, 4)) * (1 - np.eye(4)) for _ in range(3)]
+        cross = {
+            (2, 1): 0.05 * rng.random((4, 4)),
+            (0, 2): 0.05 * rng.random((4, 4)),
+            (2, 0): 0.05 * rng.random((4, 4)),
+            (1, 0): 0.05 * rng.random((4, 4)),
+        }
+        gain = 0.3 * np.ones(12)
+        mix = np.full(12, 0.7 / 12)
+        coupling = SparseCoupling(
+            blocks, cross=cross, feedback_gain=gain, feedback_mix=mix
+        )
+        g, m = np.atleast_2d(gain), np.atleast_2d(mix)
+        self._assert_matches_loop(coupling, lambda rises: g.T @ (m @ rises))
+        # Rack 2 sums (2, 1) before (2, 0); the other order gives other
+        # floats here, so the check above does see the order.
+        rises = self._rises(12, 10, seed=3)
+        swapped = blocks[2] @ rises[8:]
+        swapped += cross[(2, 0)] @ rises[:4]
+        swapped += cross[(2, 1)] @ rises[4:8]
+        assert not np.array_equal(
+            swapped, _loop_block_terms(coupling, rises)[8:]
+        )
+
+    def test_one_rack(self):
+        block = RecirculationMatrix.chain(5, 0.25).matrix
+        self._assert_matches_loop(SparseCoupling([block]))
+        gain, mix = 0.2 * np.ones(5), np.full(5, 0.1)
+        g, m = np.atleast_2d(gain), np.atleast_2d(mix)
+        self._assert_matches_loop(
+            SparseCoupling([block], feedback_gain=gain, feedback_mix=mix),
+            lambda rises: g.T @ (m @ rises),
+        )
+
+    def test_racks_of_different_widths(self):
+        rng = np.random.default_rng(9)
+        sizes = (2, 5, 3)
+        blocks = [0.1 * rng.random((b, b)) * (1 - np.eye(b)) for b in sizes]
+        cross = {
+            (1, 0): 0.05 * rng.random((5, 2)),
+            (1, 2): 0.05 * rng.random((5, 3)),
+            (2, 1): 0.05 * rng.random((3, 5)),
+        }
+        self._assert_matches_loop(SparseCoupling(blocks, cross=cross))
+
+    def test_dynamic_crac_operator_stepped(self):
+        blocks = _chain_blocks(4, 3)
+        cross = {(1, 0): 0.08 * np.eye(3), (0, 1): 0.08 * np.eye(3)}
+        gain = np.vstack([0.4 * np.ones(12), np.r_[np.ones(6), np.zeros(6)]])
+        mix = np.vstack([np.full(12, 0.05), np.zeros(12)])
+        coupling = SparseCoupling(
+            blocks,
+            cross=cross,
+            feedback_gain=gain,
+            feedback_mix=mix,
+            feedback_tau=np.array([30.0, 60.0]),
+            feedback_forcing=np.array([0.0, 0.0]),
+            crac_unit_rows=(1,),
+        )
+        coupling.prepare_run(0.1)
+        for step in range(8):
+            if step == 3:
+                coupling.set_supply_forcing(0, 4.0)
+            rises = self._rises(12, seed=step)
+            got = coupling.apply(rises)
+            expected = _loop_block_terms(coupling, rises)
+            expected += gain.T @ coupling.supply_states_c
+            assert np.array_equal(got, expected), step
+        # A scenario room with dynamic CRACs runs the same plan.
+        cfg = RoomConfig(
+            n_rows=2, racks_per_row=4, crac=CRACConfig(supply_time_constant_s=30.0)
+        )
+        room = uniform_room(cfg, duration_s=10.0, seed=4, forcing_units=(0,))
+        assert room.coupling.is_dynamic
+        self._assert_matches_loop(
+            SparseCoupling(room.coupling.blocks, cross=room.coupling.cross_blocks)
+        )
+
+
 class TestRoomTopology:
     def test_grid_positions_and_rows(self):
         topo = RoomTopology(2, 3)

@@ -17,6 +17,7 @@ from repro.errors import FleetError
 from repro.faults import FaultEvent, FaultSchedule
 from repro.fleet import CampaignRunner, CampaignTask
 from repro.room import RoomResult, RoomTask, room_campaign_grid, run_room_task
+from repro.sim.backends import BACKENDS
 
 
 def _tasks():
@@ -77,6 +78,12 @@ class TestRoomTask:
                     events=(FaultEvent("stuck", server=0),)
                 ),
             )
+
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(FleetError, match="vectorised"):
+            RoomTask(scenario="uniform", backend="vectorised")
+        for backend in BACKENDS:
+            assert RoomTask(scenario="uniform", backend=backend)
 
     def test_picklable_with_fault_schedule(self):
         task = _tasks()[2]

@@ -156,6 +156,22 @@ class TestDemandArrayExactness:
         scalar = np.array([scalar_wl.demand(float(t)) for t in self.TIMES])
         assert np.array_equal(array_wl.demand_array(self.TIMES), scalar)
 
+    def test_noisy_bulk_crosses_the_cache_clear(self):
+        # 100 050 one-second slots overflow the 100 000-slot noise cache
+        # inside one demand_array call.  The clear must land where the
+        # per-step path puts it, on the insert of slot 100 001: slot
+        # 100 000 and earlier are drawn anew afterwards, slot 100 001
+        # and later still hit, and the streams stay aligned.
+        times = np.arange(100_050) + 0.5
+        array_wl = NoisyWorkload(ConstantWorkload(0.5), std=0.1, seed=17)
+        scalar_wl = NoisyWorkload(ConstantWorkload(0.5), std=0.1, seed=17)
+        scalar = np.array([scalar_wl.demand(float(t)) for t in times])
+        assert np.array_equal(array_wl.demand_array(times), scalar)
+        later = [100_000.5, 100_001.5, 3.5, 100_049.5, 200_000.5]
+        assert [array_wl.demand(t) for t in later] == [
+            scalar_wl.demand(t) for t in later
+        ]
+
 
 class TestSpikes:
     def test_spike_active_window(self):
