@@ -216,8 +216,8 @@ def test_export_overhead():
                 # polling in a loop measures harness contention (client
                 # urllib + thread switching), not serving cost - and
                 # real scrape intervals are seconds, which at this run
-                # length IS at most one scrape.  The bench-smoke CI job
-                # separately lint-checks a *dense* scrape loop for
+                # length IS at most one scrape.  tests/test_export.py
+                # separately lint-checks a scrape loop racing a run for
                 # exposition validity.
                 stop.wait(0.03)
                 with urllib.request.urlopen(url) as response:

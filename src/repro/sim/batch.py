@@ -14,8 +14,12 @@ rack or a sweep grid pays the whole interpreter overhead B times per
   they are computed once per level with *scalar* ``math`` calls
   (bit-identical to the scalar plant) and cached.
 * :class:`BatchSensorBank` - the noise -> ADC -> transport-delay pipeline
-  over arrays, with noise drawn from each server's own seeded generator
-  in the same order as the scalar path, so runs stay reproducible.
+  grouped by what servers share: rows with one sample interval sample at
+  the same instants into one value history, and rows within it with one
+  lag promote from that history through one arrival pointer, so a
+  sensing call costs per (interval, lag) group, not per server.  Noise
+  draws and fault transforms still run per row, from each server's own
+  seeded generator in row order, so runs stay reproducible.
 * :class:`BatchStepper` - the window kernel both array lanes share:
   demand traces are evaluated up front
   (:meth:`~repro.workload.base.Workload.demand_array`), the horizon is
@@ -125,6 +129,15 @@ class _PhaseClock:
                 )
 
 
+def _is_noisy(model: Any) -> bool:
+    """Whether a noise model draws (and so advances an RNG) per sample."""
+    return not (
+        isinstance(model, NoNoise)
+        or (isinstance(model, GaussianNoise) and model.std == 0.0)
+        or (isinstance(model, UniformNoise) and model.half_width == 0.0)
+    )
+
+
 def batch_unsupported_reason(
     plants: Sequence[Any], sensors: Sequence[Any], coupled: bool = False
 ) -> str | None:
@@ -132,8 +145,9 @@ def batch_unsupported_reason(
 
     The batch backend reimplements the plant and sensing hot paths with
     array math, so it only accepts the exact library classes whose
-    behaviour it mirrors; subclasses, time-varying ambient profiles, and
-    sensors that already hold state fall back to the scalar engine.
+    behaviour it mirrors; subclasses, time-varying ambient profiles,
+    sensors that already hold state, and one noise stream shared across
+    sample intervals fall back to the scalar engine.
     ``coupled`` additionally requires every plant to breathe from a
     :class:`~repro.thermal.ambient.CoupledInlet` (rack recirculation
     drives inlet offsets through it).
@@ -166,6 +180,7 @@ def batch_unsupported_reason(
     start = plants[0].time_s
     if any(plant.time_s != start for plant in plants):
         return "servers start at different simulation times"
+    intervals: dict[int, float] = {}
     for i, sensor in enumerate(sensors):
         if type(sensor) is not TemperatureSensor:
             return (
@@ -174,17 +189,118 @@ def batch_unsupported_reason(
             )
         if sensor.is_primed:
             return f"server {i}: sensor already primed by a previous run"
+        # The bank draws noise one cadence group at a time, so a model
+        # shared across sample intervals would draw out of row order.
+        interval = sensor.config.sample_interval_s
+        if _is_noisy(sensor.noise) and (
+            intervals.setdefault(id(sensor.noise), interval) != interval
+        ):
+            return (
+                f"server {i}: noise model shared with a sensor that "
+                "samples at another interval"
+            )
     return None
 
 
+class _LagGroup:
+    """Rows of one cadence group that share a transport delay.
+
+    Every sample reaches them at the same instant, so one pointer
+    (``popped``, the number of samples promoted so far) serves them all.
+    """
+
+    __slots__ = ("lag", "rows", "cols", "popped")
+
+    def __init__(self, lag: float, rows: list[int], cols: list[int]) -> None:
+        self.lag = lag
+        self.rows = np.array(rows)
+        self.cols = np.array(cols)
+        self.popped = 0
+
+
+class _CadenceGroup:
+    """Rows that share a sample interval, and so every sample instant.
+
+    The rows start together at the bank's prime time and advance their
+    next sample instant by the same chained adds, so one scalar stands
+    for all of them.  Their samples in flight live in one ring - a list
+    of push times and a ``(capacity, rows)`` value history, indexed by
+    push count modulo capacity - that each lag group reads through its
+    own pointer.  Lag groups are sorted by lag, so the last one holds
+    the oldest sample still in flight.
+    """
+
+    __slots__ = (
+        "interval", "next_sample", "rows", "noise", "faults", "q_step",
+        "q_min", "q_div", "max_code", "passthrough", "lags", "capacity",
+        "times", "values", "pushed",
+    )
+
+    def __init__(
+        self, rows: list[int], sensors: Sequence[Any], faults: Sequence[Any]
+    ) -> None:
+        self.interval = sensors[rows[0]].config.sample_interval_s
+        self.next_sample = math.inf
+        self.rows = np.array(rows)
+        self.noise = [
+            (col, sensors[i].noise)
+            for col, i in enumerate(rows)
+            if _is_noisy(sensors[i].noise)
+        ]
+        self.faults = [
+            (col, faults[i]) for col, i in enumerate(rows) if faults[i] is not None
+        ]
+        adcs = [sensors[i].adc for i in rows]
+        self.q_step = np.array([adc.step for adc in adcs])
+        self.q_min = np.array([adc.minimum for adc in adcs])
+        # Divisor-safe LSB; pass-through rows take the input instead.
+        self.q_div = np.where(self.q_step == 0.0, 1.0, self.q_step)
+        self.max_code = np.array([float(2**adc.bits - 1) for adc in adcs])
+        passthrough = self.q_step == 0.0
+        self.passthrough = passthrough if passthrough.any() else None
+        by_lag: dict[float, list[int]] = {}
+        for col, i in enumerate(rows):
+            by_lag.setdefault(sensors[i].config.lag_s, []).append(col)
+        self.lags = [
+            _LagGroup(lag, [rows[col] for col in cols], cols)
+            for lag, cols in sorted(by_lag.items())
+        ]
+        # Sized to the worst-case samples in flight (longest lag over the
+        # interval); grown on demand if a pathological cadence overflows.
+        self.capacity = int(math.ceil(self.lags[-1].lag / self.interval)) + 4
+        self.times = [math.inf] * self.capacity
+        self.values = np.zeros((self.capacity, len(rows)))
+        self.pushed = 0
+
+    def push(self, time_s: float, values: np.ndarray) -> None:
+        """Append one sample to the ring, doubling the ring when full."""
+        if self.pushed - self.lags[-1].popped >= self.capacity:
+            old, new = self.capacity, 2 * self.capacity
+            live = range(self.lags[-1].popped, self.pushed)
+            times = [math.inf] * new
+            history = np.zeros((new, len(values)))
+            for k in live:
+                times[k % new] = self.times[k % old]
+                history[k % new] = self.values[k % old]
+            self.capacity, self.times, self.values = new, times, history
+        slot = self.pushed % self.capacity
+        self.times[slot] = time_s
+        self.values[slot] = values
+        self.pushed += 1
+
+
 class BatchSensorBank:
-    """The sensing pipeline of B servers as array state.
+    """The sensing pipeline of B servers, grouped by cadence and lag.
 
     Mirrors :class:`~repro.sensing.sensor.TemperatureSensor` exactly:
     per-server sampling cadence, additive noise (drawn from each
     sensor's own model so the RNG streams match the scalar path),
-    mid-tread ADC quantization, and a transport-delay FIFO implemented
-    as per-server ring buffers.
+    mid-tread ADC quantization and the transport delay.  Rows that share
+    a sample interval sample at the same instants (one
+    :class:`_CadenceGroup`, one value history); within it, rows that
+    share a lag promote the same history entry at the same instant (one
+    :class:`_LagGroup` pointer).  Per-call cost therefore scales with the
+    number of (interval, lag) groups, not with B.
     """
 
     def __init__(
@@ -193,84 +309,29 @@ class BatchSensorBank:
         fault_states: Sequence[Any] | None = None,
     ) -> None:
         n = len(sensors)
-        configs = [sensor.config for sensor in sensors]
         # Per-server sensing-fault pipelines (repro.faults): the same
         # scalar transform objects the scalar sensor calls, applied to
         # the same sampled values at the same instants, so fault-injected
-        # runs stay bit-for-bit equal across backends.  Fault-free
-        # servers never enter the loop.
-        if fault_states is None:
-            self._fault_rows: list[int] = []
-            self._fault_states: list[Any] = []
-        else:
-            self._fault_rows = [
-                i for i, state in enumerate(fault_states) if state is not None
-            ]
-            self._fault_states = list(fault_states)
-        self._n = n
-        self._rows = np.arange(n)
-        self._lag = np.array([cfg.lag_s for cfg in configs])
-        self._interval = np.array([cfg.sample_interval_s for cfg in configs])
-        self._q_step = np.array([s.adc.step for s in sensors])
-        self._q_min = np.array([s.adc.minimum for s in sensors])
-        self._max_code = np.array(
-            [float(2**s.adc.bits - 1) for s in sensors]
-        )
-        # Divisor-safe copy of the LSB (0 = pass-through is handled by a
-        # where() on the real step array).
-        self._q_div = np.where(self._q_step == 0.0, 1.0, self._q_step)
-        self._noise = [sensor.noise for sensor in sensors]
-        self._noisy_rows = [
-            i
-            for i, model in enumerate(self._noise)
-            if not (
-                isinstance(model, NoNoise)
-                or (isinstance(model, GaussianNoise) and model.std == 0.0)
-                or (
-                    isinstance(model, UniformNoise) and model.half_width == 0.0
-                )
-            )
+        # runs stay bit-for-bit equal across backends.
+        faults = [None] * n if fault_states is None else list(fault_states)
+        by_interval: dict[float, list[int]] = {}
+        for i, sensor in enumerate(sensors):
+            by_interval.setdefault(sensor.config.sample_interval_s, []).append(i)
+        self._cadences = [
+            _CadenceGroup(rows, sensors, faults) for rows in by_interval.values()
         ]
-        self._next_sample = np.zeros(n)
+        # Row -> (cadence group, lag group, history column), for state_of.
+        self._row_groups: list[Any] = [None] * n
+        for cadence in self._cadences:
+            for group in cadence.lags:
+                for i, col in zip(group.rows, group.cols):
+                    self._row_groups[i] = (cadence, group, int(col))
         self._current = np.zeros(n)
         # Scalar lower bounds on the next sample/arrival instants, so the
         # per-dt observe/pop calls reduce to one float comparison on the
         # (majority of) steps where nothing is due anywhere in the batch.
         self._next_due = -np.inf
         self._next_arrival = np.inf
-        # Uniform-pipeline fast lane: with one shared cadence and no
-        # noise/fault hooks, every sample step is all-servers-at-once and
-        # the ring pointers stay lockstep, so observe/pop can use scalar
-        # pointers and whole-column FIFO ops.  Same float operations on
-        # the same values - the lane is bit-for-bit, not a tolerance.
-        self._uniform_cadence = (
-            not self._fault_rows
-            and not self._noisy_rows
-            and bool(np.all(self._interval == self._interval[0]))
-            and bool(np.all(self._lag == self._lag[0]))
-        )
-        self._interval_u = float(self._interval[0])
-        self._lag_u = float(self._lag[0])
-        # One shared ADC: its quantize_array takes scalar operands, and
-        # scalar-vs-array broadcasting is elementwise-identical IEEE
-        # arithmetic, so the codes match _quantize bit for bit.
-        self._uniform_adc = (
-            bool(np.all(self._q_step == self._q_step[0]))
-            and bool(np.all(self._q_min == self._q_min[0]))
-            and bool(np.all(self._max_code == self._max_code[0]))
-        )
-        self._adc_u = sensors[0].adc
-        # Transport-delay FIFOs: ring buffers sized to the worst-case
-        # number of in-flight samples (lag / sample interval), grown on
-        # demand if a pathological cadence ever overflows them.
-        in_flight = [
-            int(math.ceil(cfg.lag_s / cfg.sample_interval_s)) for cfg in configs
-        ]
-        self._capacity = max(4, max(in_flight) + 4)
-        self._fifo_t = np.full((n, self._capacity), np.inf)
-        self._fifo_v = np.zeros((n, self._capacity))
-        self._head = np.zeros(n, dtype=np.int64)
-        self._count = np.zeros(n, dtype=np.int64)
 
     @property
     def current(self) -> np.ndarray:
@@ -278,86 +339,49 @@ class BatchSensorBank:
         return self._current
 
     def _sample(
-        self, idx: np.ndarray, time_s: float, true_temps: np.ndarray
+        self, cadence: _CadenceGroup, time_s: float, true_temps: np.ndarray
     ) -> np.ndarray:
-        """Sample servers ``idx``: noise, analog faults, ADC, digital faults.
+        """Sample one cadence group: noise, analog faults, ADC, digital
+        faults; push the result and return it.
 
-        Noise draws and fault transforms run per server in server order,
-        as the scalar sensors do, so RNG streams and fault state match.
+        Noise draws and fault transforms run per row in row order, as
+        the scalar sensors do, so RNG streams and fault state match.  The
+        quantize expression is
+        :meth:`~repro.sensing.adc.AdcQuantizer.quantize_array` with
+        per-row operands, so each row is bit-identical to its scalar
+        :meth:`~repro.sensing.adc.AdcQuantizer.quantize`.
         """
-        measured = true_temps[idx]
-        if not (self._noisy_rows or self._fault_rows):
-            return self._quantize(measured, idx)
-        positions = {int(i): j for j, i in enumerate(idx)}
-        for i in self._noisy_rows:
-            j = positions.get(i)
-            if j is not None:
-                measured[j] += self._noise[i].sample()
-        faulted = [(i, positions[i]) for i in self._fault_rows if i in positions]
-        for i, j in faulted:
-            measured[j] = self._fault_states[i].pre_adc(time_s, float(measured[j]))
-        quantized = self._quantize(measured, idx)
-        for i, j in faulted:
-            quantized[j] = self._fault_states[i].post_adc(
-                time_s, float(quantized[j])
-            )
-        return quantized
-
-    def _quantize(self, measured: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        step = self._q_step[idx]
-        minimum = self._q_min[idx]
-        code = np.clip(
-            np.rint((measured - minimum) / self._q_div[idx]),
-            0.0,
-            self._max_code[idx],
-        )
-        return np.where(step == 0.0, measured, minimum + code * step)
-
-    def _push(self, idx: np.ndarray, time_s: float, values: np.ndarray) -> None:
-        if np.any(self._count[idx] >= self._capacity):
-            self._grow()
-        tail = (self._head[idx] + self._count[idx]) % self._capacity
-        arrivals = time_s + self._lag[idx]
-        self._fifo_t[idx, tail] = arrivals
-        self._fifo_v[idx, tail] = values
-        self._count[idx] += 1
-        self._next_arrival = min(self._next_arrival, float(arrivals.min()))
-
-    def _push_uniform(self, time_s: float, values: np.ndarray) -> None:
-        """All-servers push with lockstep ring pointers (column write)."""
-        count = int(self._count[0])
-        if count >= self._capacity:
-            self._grow()
-        tail = (int(self._head[0]) + count) % self._capacity
-        arrival = time_s + self._lag_u
-        self._fifo_t[:, tail] = arrival
-        self._fifo_v[:, tail] = values
-        self._count += 1
+        measured = true_temps[cadence.rows]
+        for col, model in cadence.noise:
+            measured[col] += model.sample()
+        for col, state in cadence.faults:
+            measured[col] = state.pre_adc(time_s, float(measured[col]))
+        code = measured - cadence.q_min
+        code /= cadence.q_div
+        np.rint(code, out=code)
+        np.maximum(code, 0.0, out=code)
+        np.minimum(code, cadence.max_code, out=code)
+        # rint(-0.5) is -0.0; the scalar int code has no sign.
+        code += 0.0
+        code *= cadence.q_step
+        code += cadence.q_min
+        if cadence.passthrough is not None:
+            np.copyto(code, measured, where=cadence.passthrough)
+        for col, state in cadence.faults:
+            code[col] = state.post_adc(time_s, float(code[col]))
+        cadence.push(time_s, code)
+        # The group's shortest lag brings its new sample in first.
+        arrival = time_s + cadence.lags[0].lag
         if arrival < self._next_arrival:
             self._next_arrival = arrival
-
-    def _grow(self) -> None:
-        old = self._capacity
-        self._capacity = old * 2
-        fifo_t = np.full((self._n, self._capacity), np.inf)
-        fifo_v = np.zeros((self._n, self._capacity))
-        for i in range(self._n):
-            count = int(self._count[i])
-            if count:
-                slots = (int(self._head[i]) + np.arange(count)) % old
-                fifo_t[i, :count] = self._fifo_t[i, slots]
-                fifo_v[i, :count] = self._fifo_v[i, slots]
-        self._fifo_t = fifo_t
-        self._fifo_v = fifo_v
-        self._head[:] = 0
+        return code
 
     def prime(self, time_s: float, true_temps: np.ndarray) -> None:
         """First observation: sets the power-on reading for every server."""
-        quantized = self._sample(self._rows, time_s, true_temps)
-        self._current = quantized.copy()
-        self._push(self._rows, time_s, quantized)
-        self._next_sample = time_s + self._interval
-        self._next_due = float(self._next_sample.min())
+        for cadence in self._cadences:
+            self._current[cadence.rows] = self._sample(cadence, time_s, true_temps)
+            cadence.next_sample = time_s + cadence.interval
+        self._next_due = min(c.next_sample for c in self._cadences)
 
     def observe(
         self, time_s: float, time_plus: float, true_temps: np.ndarray
@@ -365,28 +389,42 @@ class BatchSensorBank:
         """Feed the physical temperatures; samples at each server's cadence."""
         if self._next_due > time_plus:
             return
-        if self._uniform_cadence:
-            # Shared cadence: the bound above *is* every server's due
-            # check, so all sample now and the ring stays lockstep.
-            if self._uniform_adc:
-                quantized = self._adc_u.quantize_array(true_temps)
-            else:
-                quantized = self._quantize(true_temps.copy(), self._rows)
-            self._push_uniform(time_s, quantized)
-            # Same chained float adds as the general while-advance (one
-            # per late period), applied to the shared scalar bound.
-            nxt = self._next_due + self._interval_u
+        for cadence in self._cadences:
+            nxt = cadence.next_sample
+            if nxt > time_plus:
+                continue
+            self._sample(cadence, time_s, true_temps)
+            # One chained float add per late period, as the scalar
+            # sensor schedules its next sample.
+            nxt += cadence.interval
             while nxt <= time_plus:
-                nxt += self._interval_u
-            self._next_sample[:] = nxt
-            self._next_due = nxt
+                nxt += cadence.interval
+            cadence.next_sample = nxt
+        self._next_due = min(c.next_sample for c in self._cadences)
+
+    def pop_until(self, time_s: float) -> None:
+        """Promote every sample whose arrival time has passed (ZOH read)."""
+        if self._next_arrival > time_s:
             return
-        idx = np.nonzero(self._next_sample <= time_plus)[0]
-        self._push(idx, time_s, self._sample(idx, time_s, true_temps))
-        self._next_sample[idx] = _advance_due(
-            self._next_sample[idx], self._interval[idx], time_plus
-        )
-        self._next_due = float(self._next_sample.min())
+        bound = math.inf
+        current = self._current
+        for cadence in self._cadences:
+            times, capacity, pushed = (
+                cadence.times, cadence.capacity, cadence.pushed
+            )
+            for group in cadence.lags:
+                k, lag = group.popped, group.lag
+                while k < pushed and times[k % capacity] + lag <= time_s:
+                    k += 1
+                if k != group.popped:
+                    # Zero-order hold: only the newest promoted sample shows.
+                    current[group.rows] = cadence.values[(k - 1) % capacity][
+                        group.cols
+                    ]
+                    group.popped = k
+                if k < pushed and times[k % capacity] + lag < bound:
+                    bound = times[k % capacity] + lag
+        self._next_arrival = bound
 
     def state_of(self, i: int) -> tuple[float, list[tuple[float, float]], float]:
         """One server's pipeline state: (current, in-flight, next sample).
@@ -395,46 +433,16 @@ class BatchSensorBank:
         order, ready for
         :meth:`~repro.sensing.sensor.TemperatureSensor.restore_pipeline`.
         """
-        count = int(self._count[i])
-        slots = (int(self._head[i]) + np.arange(count)) % self._capacity
+        cadence, group, col = self._row_groups[i]
+        capacity = cadence.capacity
         pending = [
-            (float(self._fifo_t[i, s]), float(self._fifo_v[i, s]))
-            for s in slots
-        ]
-        return float(self._current[i]), pending, float(self._next_sample[i])
-
-    def pop_until(self, time_s: float) -> None:
-        """Promote every sample whose arrival time has passed (ZOH read)."""
-        if self._next_arrival > time_s:
-            return
-        if self._uniform_cadence:
-            head = int(self._head[0])
-            count = int(self._count[0])
-            while count > 0 and self._fifo_t[0, head] <= time_s:
-                self._current[:] = self._fifo_v[:, head]
-                head = (head + 1) % self._capacity
-                count -= 1
-            self._head[:] = head
-            self._count[:] = count
-            self._next_arrival = (
-                float(self._fifo_t[0, head]) if count > 0 else np.inf
+            (
+                cadence.times[k % capacity] + group.lag,
+                float(cadence.values[k % capacity, col]),
             )
-            return
-        while True:
-            arrivals = self._fifo_t[self._rows, self._head]
-            ready = (self._count > 0) & (arrivals <= time_s)
-            if not ready.any():
-                break
-            idx = np.nonzero(ready)[0]
-            self._current[idx] = self._fifo_v[idx, self._head[idx]]
-            self._head[idx] = (self._head[idx] + 1) % self._capacity
-            self._count[idx] -= 1
-        # Stale slots behind the tail keep old timestamps, so only rows
-        # with samples in flight may contribute to the new bound.
-        arrivals = self._fifo_t[self._rows, self._head]
-        self._next_arrival = float(
-            np.where(self._count > 0, arrivals, np.inf).min()
-        )
+            for k in range(group.popped, cadence.pushed)
+        ]
+        return float(self._current[i]), pending, cadence.next_sample
 
 
 class BatchStepper:

@@ -15,8 +15,12 @@ backends as two tiers:
 
 The randomized tests draw topologies (rack width, recirculation
 fraction), workloads/seeds, Table III schemes, and fault schedules from
-hypothesis; the deterministic tests pin every scheme on the array lane
-(zero controller fallbacks), scalar-resume-after-fused sync-back, and
+hypothesis - also for racks that mix vectorized and scalar-fallback
+controllers under a dropout, and at the sensing layer alone, where a
+``BatchSensorBank`` over mixed lags, LSBs, intervals, noise and sensor
+faults must read what one scalar sensor per row reads; the
+deterministic tests pin every scheme on the array lane (zero
+controller fallbacks), scalar-resume-after-fused sync-back, and
 divergence detection on both array lanes.
 """
 
@@ -30,11 +34,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import FleetConfig, RoomConfig
+from repro.config import FleetConfig, RoomConfig, SensingConfig
+from repro.core.global_controller import GlobalController
 from repro.errors import ThermalModelError
-from repro.faults.events import FaultEvent, FaultSchedule
+from repro.faults.events import SENSOR_FAULTS, FaultEvent, FaultSchedule
+from repro.faults.states import SensorFaultState
 from repro.fleet import FleetSimulator, Rack, build_fleet_scenario, homogeneous_rack
 from repro.room import RoomSimulator, uniform_room
+from repro.sensing.sensor import TemperatureSensor
 from repro.sim.batch import BatchSensorBank
 from repro.workload.base import Workload
 
@@ -98,6 +105,9 @@ def assert_tier_a(scalar, vectorized):
                 channel, rv.channels[name], equal_nan=True
             ), f"tier A: server {i} channel {name} diverged"
         assert rs.summary() == rv.summary(), f"tier A: server {i} summary"
+        assert rs.performance == rv.performance, (
+            f"tier A: server {i} deadline tracker"
+        )
     assert scalar.mean_inlet_c == vectorized.mean_inlet_c
     if "faults" in scalar.extras or "faults" in vectorized.extras:
         assert scalar.extras["faults"] == vectorized.extras["faults"]
@@ -239,6 +249,84 @@ class TestRandomizedConformance:
         assert_tier_b(vectorized, fused)
 
 
+class _RenamedController(GlobalController):
+    """A stock controller under another class name.  The batch lanes
+    reject non-stock controllers, so its server steps the scalar objects
+    inside an otherwise batched run (per-server fallback)."""
+
+
+def _mixed_rack(case):
+    """The case's rack with the drawn slots' controllers renamed."""
+    rack = _rack(case["scheme"], n=case["n"], seed=case["seed"],
+                 recirc=case["recirc"], duration=case["duration"])
+    slots = list(rack.slots)
+    for i in case["scalar_slots"]:
+        c = slots[i].controller
+        slots[i] = replace(slots[i], controller=_RenamedController(
+            control=c.control,
+            fan_controller=c.fan_controller,
+            coordinator=c.coordinator,
+            cpu_capper=c.cpu_capper,
+            setpoint=c.setpoint,
+            single_step=c.single_step,
+            initial_state=c.state,
+        ))
+    return Rack(slots, coupling=rack.coupling, exhaust=rack.exhaust)
+
+
+@st.composite
+def _mixed_fault_case(draw):
+    case = draw(_conformance_case(with_faults=True))
+    n = case["n"]
+    case["scalar_slots"] = draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1),
+                 min_size=1, max_size=n - 1, unique=True)
+    )
+    # A dropout whose NaN samples clear the 10 s sensor lag before the
+    # shortest horizon ends, so the telemetry failsafe engages.  Listed
+    # last, it applies after any stuck register on its server.
+    dropout = FaultEvent(
+        kind="dropout",
+        server=draw(st.integers(min_value=0, max_value=n - 1)),
+        start_s=draw(st.sampled_from([3.0, 7.5])),
+        duration_s=draw(st.sampled_from([5.0, 10.0, 20.0])),
+    )
+    case["faults"] = FaultSchedule(case["faults"].events + (dropout,))
+    return case
+
+
+class TestMixedRackUnderFaults:
+    """Tier A where the three control branches meet: vectorized slots,
+    per-server scalar-fallback slots and the dropout failsafe, in one
+    batched run under random fault schedules."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_mixed_fault_case())
+    def test_mixed_rack_matches_scalar_under_faults(self, case):
+        results = {}
+        for backend in ("scalar", "vectorized"):
+            sim = FleetSimulator(
+                _mixed_rack(case),
+                dt_s=_DT,
+                record_decimation=case["dec"],
+                backend=backend,
+                faults=case["faults"],
+            )
+            results[backend] = sim.run(case["duration"])
+            assert results[backend].extras["backend"] == backend
+        vectorized = results["vectorized"]
+        assert vectorized.extras["controller_backend"] == "mixed"
+        assert sorted(vectorized.extras["controller_fallbacks"]) == sorted(
+            f"srv{i:02d}" for i in case["scalar_slots"]
+        )
+        assert vectorized.extras["faults"]["failsafe"]["engagements"] >= 1
+        assert_tier_a(results["scalar"], vectorized)
+
+
 class TestScalarResumeAfterFused:
     """The fused stepper syncs state back into the scalar objects, so a
     follow-up scalar run continues from where the batch left off."""
@@ -357,3 +445,158 @@ class TestRoomConformance:
             vectorized.crac_energy_j, 1e-12
         )
         assert rel < 1e-9
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Bit-for-bit float equality: NaN matches NaN, -0.0 differs from 0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def _sensing_case(draw):
+    """Per-row sensing configs drawn from small per-case palettes, so rows
+    share sample intervals and lags (grouping) as well as differ."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lag = st.one_of(
+        st.sampled_from([0.0, 5.0, 10.0, 20.0]),
+        st.floats(min_value=0.0, max_value=25.0,
+                  allow_nan=False, allow_infinity=False),
+    )
+    lags = draw(st.lists(lag, min_size=1, max_size=3))
+    intervals = draw(
+        st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=1, max_size=2)
+    )
+    rows = []
+    for _ in range(n):
+        config = SensingConfig(
+            lag_s=draw(st.sampled_from(lags)),
+            quantization_step_c=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            # -0.0 puts the code-0 sign fold on the bank's path.
+            adc_min_c=draw(st.sampled_from([0.0, -0.0])),
+            noise_std_c=draw(st.sampled_from([0.0, 0.0, 0.4, 1.5])),
+            sample_interval_s=draw(st.sampled_from(intervals)),
+        )
+        rows.append((config, draw(st.integers(min_value=0, max_value=2**16))))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.7]))
+    steps = draw(st.integers(min_value=40, max_value=300))
+    events = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(SENSOR_FAULTS))
+        magnitude = {
+            "offset": draw(st.sampled_from([-3.0, 2.5])),
+            "drift": draw(st.sampled_from([0.01, -0.05])),
+            "noise_burst": draw(st.sampled_from([0.5, 2.0])),
+        }.get(kind)
+        events.append(
+            FaultEvent(
+                kind=kind,
+                server=draw(st.integers(min_value=0, max_value=n - 1)),
+                start_s=draw(st.sampled_from([0.0, 2.0, 6.3, 15.0])),
+                duration_s=draw(st.sampled_from([1.0, 4.0, 12.0])),
+                magnitude=magnitude,
+            )
+        )
+    return {
+        "rows": rows,
+        "dt": dt,
+        "steps": steps,
+        "schedule": FaultSchedule(tuple(events), seed=draw(st.integers(0, 99))),
+        "temps_seed": draw(st.integers(min_value=0, max_value=2**16)),
+    }
+
+
+def _junction_rows(seed: int, n: int, steps: int) -> np.ndarray:
+    """Random-walk junction rows; about a third land on quarter-degree
+    grid points (ADC rounding ties), some just below 0 or past full
+    scale."""
+    rng = np.random.default_rng(seed)
+    walk = 60.0 + np.cumsum(rng.normal(0.0, 1.5, size=(steps, n)), axis=0)
+    edges = rng.random((steps, n)) < 0.05
+    walk[edges] = rng.choice([-3.0, -0.1, 150.0], size=int(edges.sum()))
+    ties = rng.random((steps, n)) < 0.3
+    # + 0.0: rounding may give -0.0, which no plant produces.
+    walk[ties] = np.round(walk[ties] * 4.0) / 4.0 + 0.0
+    return walk
+
+
+def _fault_states(schedule: FaultSchedule, n: int) -> list:
+    """Fresh per-row sensor fault pipelines, as FaultInjector builds them."""
+    states = []
+    for i in range(n):
+        indexed = [
+            (k, event)
+            for k, event in enumerate(schedule.events)
+            if event.server == i
+        ]
+        states.append(
+            SensorFaultState(indexed, schedule.seed) if indexed else None
+        )
+    return states
+
+
+class TestSensorBankConformance:
+    """Tier A at the sensing layer: a BatchSensorBank over mixed lags,
+    LSBs, sample intervals, noise and sensor faults reads exactly what
+    one scalar TemperatureSensor per row reads, step by step, and its
+    handed-back pipeline state continues exactly like the scalar one."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_sensing_case())
+    def test_bank_matches_scalar_twins(self, case):
+        rows = case["rows"]
+        n, dt, steps = len(rows), case["dt"], case["steps"]
+        twins = [TemperatureSensor(cfg, seed=seed) for cfg, seed in rows]
+        sensors = [TemperatureSensor(cfg, seed=seed) for cfg, seed in rows]
+        twin_faults = _fault_states(case["schedule"], n)
+        bank_faults = _fault_states(case["schedule"], n)
+        for twin, state in zip(twins, twin_faults):
+            twin.set_fault_state(state)
+        has_faults = any(state is not None for state in bank_faults)
+        bank = BatchSensorBank(sensors, bank_faults if has_faults else None)
+
+        # The tail after the hand-back steps finer than any interval (so
+        # the handed-back next sample instant decides when sampling
+        # resumes) and outlasts the longest lag (so every in-flight
+        # sample surfaces).
+        tail_dt = 0.1
+        total = steps + 1 + int(math.ceil(30.0 / tail_dt))
+        temps = _junction_rows(case["temps_seed"], n, total)
+        start = 0.0
+        # Uncopied rows: a bank that wrote into its input would corrupt
+        # what the twins read next.
+        bank.prime(start, temps[0])
+        for i, twin in enumerate(twins):
+            twin.observe(start, float(temps[0, i]))
+        for k in range(1, steps + 1):
+            t = start + k * dt
+            bank.observe(t, t + 1e-9, temps[k])
+            bank.pop_until(t)
+            for i, twin in enumerate(twins):
+                twin.observe(t, float(temps[k, i]))
+                expected = twin.read(t).value_c
+                got = float(bank.current[i])
+                assert _same_bits(got, expected), (
+                    f"row {i} ({rows[i][0]}) at t={t}: bank {got!r}, "
+                    f"scalar {expected!r}"
+                )
+
+        for i, sensor in enumerate(sensors):
+            sensor.restore_pipeline(*bank.state_of(i))
+            sensor.set_fault_state(bank_faults[i])
+        end = start + steps * dt
+        for k in range(steps + 1, total):
+            t = end + (k - steps) * tail_dt
+            for i, (sensor, twin) in enumerate(zip(sensors, twins)):
+                sensor.observe(t, float(temps[k, i]))
+                twin.observe(t, float(temps[k, i]))
+                got = sensor.read(t).value_c
+                expected = twin.read(t).value_c
+                assert _same_bits(got, expected), (
+                    f"row {i} resumed at t={t}: {got!r} vs {expected!r}"
+                )

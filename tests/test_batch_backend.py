@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import FleetConfig, ServerConfig
+from repro.config import FleetConfig, SensingConfig, ServerConfig
 from repro.errors import SimulationError
 from repro.fleet import (
     FleetSimulator,
@@ -24,6 +24,8 @@ from repro.fleet import (
 )
 from repro.fleet.rack import ServerSlot
 from repro.fleet.scenarios import _SEED_STRIDE
+from repro.sensing.noise import GaussianNoise
+from repro.sensing.sensor import TemperatureSensor
 from repro.sim import (
     BatchRunSpec,
     ParameterSweep,
@@ -274,6 +276,22 @@ class TestFallback:
         odd = OddPlant(ServerConfig())
         reason = batch_unsupported_reason([odd], [build_sensor(ServerConfig())])
         assert reason is not None and "OddPlant" in reason
+
+    def test_noise_shared_across_intervals_is_unsupported(self):
+        """The bank samples one cadence group at a time, so one noise
+        stream may only be shared by sensors that sample together."""
+        shared = GaussianNoise(0.5, seed=3)
+        plants = [ServerThermalModel(ServerConfig()) for _ in range(3)]
+
+        def sensors(*intervals):
+            return [
+                TemperatureSensor(SensingConfig(sample_interval_s=s), noise=shared)
+                for s in intervals
+            ]
+
+        assert batch_unsupported_reason(plants, sensors(1.0, 1.0, 1.0)) is None
+        reason = batch_unsupported_reason(plants, sensors(1.0, 0.5, 1.0))
+        assert reason is not None and "server 1" in reason and "noise" in reason
 
     def test_run_batch_rejects_mismatched_grids(self):
         with pytest.raises(SimulationError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import urllib.error
 import urllib.request
 
@@ -227,6 +228,43 @@ class TestLiveServer:
             assert status == 200
             assert json.loads(incidents) == []
         assert result.extras["obs"]["counters"]["server_steps"] == 800
+
+    def test_scrapes_racing_a_run_lint_clean(self):
+        """A scraper thread polls /metrics while sim.run advances the
+        collector underneath it; every exposition it gets must lint.
+        The 300 s horizon (~0.1 s of wall time) leaves room for scrapes
+        in mid-run, not only at its edges."""
+        sim = _rack_sim(obs=ObsConfig(), n_servers=16, duration_s=300.0)
+        bodies = []
+        with LiveObsServer(sim) as live:
+            url = live.url + "/metrics"
+            stop = threading.Event()
+
+            def scrape() -> None:
+                while not stop.is_set():
+                    bodies.append(_scrape(url)[1])
+                    stop.wait(0.002)
+
+            scraper = threading.Thread(target=scrape, daemon=True)
+            scraper.start()
+            try:
+                sim.run(300.0, label="live")
+            finally:
+                stop.set()
+                scraper.join(timeout=5.0)
+            assert not scraper.is_alive()
+            # One guaranteed post-run scrape with the final counters.
+            bodies.append(_scrape(url)[1])
+        for body in bodies:
+            assert lint_openmetrics(body) == [], lint_openmetrics(body)
+        final = bodies[-1]
+        for series in (
+            "repro_server_steps_total",
+            "repro_incidents_total",
+            "_bucket{",
+            "_quantile{",
+        ):
+            assert series in final, f"missing {series!r} in exposition"
 
     def test_live_server_does_not_perturb(self):
         sim = _rack_sim(obs=ObsConfig())
