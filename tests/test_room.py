@@ -7,8 +7,16 @@ import pytest
 
 from repro.config import CRACConfig, FleetConfig, RoomConfig
 from repro.errors import RoomError, SimulationError
-from repro.fleet import FleetSimulator, RecirculationMatrix, homogeneous_rack
+from repro.faults import FaultEvent, FaultSchedule
+from repro.fleet import (
+    FleetSimulator,
+    Rack,
+    RecirculationMatrix,
+    heterogeneous_sensor_rack,
+    homogeneous_rack,
+)
 from repro.fleet.coupling import CouplingOperator
+from repro.obs.diff import diff_results
 from repro.room import (
     CRACUnit,
     Room,
@@ -484,6 +492,47 @@ class TestStackedEquivalence:
         assert stacked_unsupported_reason([a, b]) is not None
         with pytest.raises(SimulationError):
             run_stacked_racks([a, b], duration_s=30.0, dt_s=0.5)
+
+
+_LANES = ("scalar", "vectorized", "fused")
+
+
+def _assert_servers_equal(servers_a, servers_b):
+    """Per-server channels, energy and performance agree bit for bit."""
+    assert len(servers_a) == len(servers_b)
+    for a, b in zip(servers_a, servers_b):
+        assert diff_results(a, b) is None
+        assert a.energy == b.energy
+        assert a.performance == b.performance
+
+
+class TestOneDriver:
+    """A rack and the same rack as a one-rack room agree exactly."""
+
+    @pytest.mark.parametrize("backend", _LANES)
+    def test_one_rack_room_matches_rack_under_faults(self, backend):
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent("dropout", server=1, start_s=20.0, duration_s=40.0),
+                FaultEvent("fan_seize", server=2, start_s=30.0, duration_s=60.0),
+                FaultEvent(
+                    "offset", server=3, start_s=10.0, duration_s=80.0, magnitude=-3.0
+                ),
+            )
+        )
+
+        def rack():
+            return heterogeneous_sensor_rack(n_servers=4, duration_s=120.0)
+
+        fleet = FleetSimulator(rack(), backend=backend, faults=schedule).run(120.0)
+        room = RoomSimulator(
+            Room([rack()]), backend=backend, faults=schedule
+        ).run(120.0)
+        (racked,) = room.rack_results
+        assert fleet.extras["backend"] == room.extras["backend"] == backend
+        _assert_servers_equal(racked.server_results, fleet.server_results)
+        assert racked.mean_inlet_c == fleet.mean_inlet_c
+        assert room.extras["faults"] == fleet.extras["faults"]
 
 
 class TestRoomScenariosAndResult:
