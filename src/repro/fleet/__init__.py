@@ -9,7 +9,8 @@ data-center control, Van Damme et al.).
 * :mod:`repro.fleet.coupling` - exhaust rise and recirculation mixing.
 * :class:`~repro.fleet.rack.Rack` / :class:`~repro.fleet.rack.ServerSlot`
   - N full server stacks plus the shared inlet-air model.
-* :class:`~repro.fleet.simulator.FleetSimulator` - lockstep driver built
+* :class:`~repro.fleet.simulator.FleetSimulator` - a rack on the
+  lockstep driver rooms also use (:mod:`repro.room.simulator`), built
   on the same :class:`~repro.sim.engine.ServerStepper` primitive as
   single-server runs.
 * :class:`~repro.fleet.result.FleetResult` - per-server telemetry plus

@@ -14,10 +14,11 @@ Process-level parallelism composes with the vectorized backend twice
 over: each worker advances racks as array ops, and the runner **chunks
 same-shape tasks** (equal server count and time grid) so one worker
 stacks several racks into a single ``(n_racks * B,)`` batch via
-:func:`repro.room.stack.run_stacked_racks` - block-diagonal coupling,
-so every result stays bit-for-bit identical to its solo run while the
-per-``dt`` Python dispatch is paid once per chunk instead of once per
-rack.  The chunk each result rode in is recorded under
+:func:`repro.room.simulator.run_stacked_racks` - the same lockstep
+driver ``FleetSimulator`` runs a solo task on, with block-diagonal
+coupling, so every result stays bit-for-bit identical to its solo run
+while the per-``dt`` Python dispatch is paid once per chunk instead of
+once per rack.  The chunk each result rode in is recorded under
 ``result.extras["chunk"]``.  Set ``chunk_size=1`` to force one rack per
 task, or ``CampaignTask.backend="scalar"`` to force the reference loop,
 e.g. when profiling or bisecting a backend discrepancy.
@@ -38,7 +39,7 @@ from repro.fleet.scenarios import FLEET_SCENARIOS, build_fleet_scenario
 from repro.fleet.simulator import FleetSimulator
 from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
-from repro.sim.backends import BACKENDS, batch_stepper
+from repro.sim.backends import BACKENDS
 from repro.sim.parallel import parallel_map, resolve_workers
 
 #: Default racks per stacked chunk.  Past ~4 racks the per-``dt``
@@ -286,7 +287,7 @@ def run_campaign_chunk(
         ]
     if len(tasks) == 1:
         return [run_campaign_task(tasks[0], queue=queue, index=indices[0])]
-    from repro.room.stack import run_stacked_racks, stacked_unsupported_reason
+    from repro.room import run_stacked_racks, stacked_unsupported_reason
 
     racks = [_build_rack(task) for task in tasks]
     if any(task.faults is not None for task in tasks):
@@ -305,19 +306,15 @@ def run_campaign_chunk(
             for task, rack, index in zip(tasks, racks, indices)
         ]
     labels = [task.label for task in tasks]
-    # chunk_key groups by backend, so the whole chunk shares one lane;
-    # "auto" means the vetted racks stack on the vectorized stepper.
-    lane, _ = batch_stepper(tasks[0].backend)
     t0 = time.perf_counter()
+    # chunk_key groups by backend, so the whole chunk shares one lane.
     results = run_stacked_racks(
         racks,
         duration_s=tasks[0].duration_s,
         dt_s=tasks[0].dt_s,
         record_decimation=tasks[0].record_decimation,
         labels=labels,
-        # stacked_unsupported_reason already vetted these racks above.
-        precheck=False,
-        backend=lane,
+        backend=tasks[0].backend,
     )
     worker = worker_info(time.perf_counter() - t0)
     chunk_info = {"size": len(tasks), "labels": tuple(labels)}

@@ -163,6 +163,14 @@ class CouplingOperator(ABC):
             )
         return self.apply(rises)
 
+    def prepare_run(self, dt_s: float) -> None:
+        """Arm per-run state for a run on a ``dt_s`` grid.
+
+        Drivers call this once before every run.  Stateless operators
+        have nothing to arm; the room operator's dynamic CRAC supply
+        filter overrides it to reset its states.
+        """
+
     def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
         """Apply the operator to a ``(n_servers, w)`` window of rises.
 

@@ -16,13 +16,18 @@ while keeping the execution model array-shaped:
   loop from aggregate exhaust heat back to per-rack inlet ambient.
 * :class:`~repro.room.room.Room` - the passive composition (racks +
   topology + coupling + CRACs).
-* :class:`~repro.room.simulator.RoomSimulator` - runs the whole room as
+* :mod:`repro.room.simulator` - the one lockstep driver for racks,
+  rooms and stacked campaign chunks.
+  :class:`~repro.room.simulator.RoomSimulator` runs the whole room as
   **one** ``(n_racks * B,)`` stacked batch, reusing
   :class:`~repro.sim.batch.BatchStepper` and the vectorized controller
-  lane unchanged; scalar reference backend for equivalence testing.
-* :mod:`repro.room.stack` - the stacked-batch machinery, also used by
-  :class:`~repro.fleet.campaign.CampaignRunner` to chunk same-shape
-  rack tasks into one run.
+  lane unchanged, with a scalar reference backend for equivalence
+  testing; :func:`~repro.room.simulator.run_stacked_racks` stacks
+  independent racks, which :class:`~repro.fleet.campaign.CampaignRunner`
+  uses to chunk same-shape rack tasks into one run.
+* :mod:`repro.room.stack` - the stacked-batch building blocks the
+  driver calls: the stack check, the stepper build and the per-rack
+  split.
 * :mod:`repro.room.scenarios` - canned rooms (uniform, hot-spot rack,
   failed CRAC, mixed-scheme aisles).
 """
@@ -41,11 +46,8 @@ from repro.room.scenarios import (
     mixed_aisles_room,
     uniform_room,
 )
-from repro.room.simulator import RoomSimulator
-from repro.room.stack import (
-    run_stacked_racks,
-    stacked_unsupported_reason,
-)
+from repro.room.simulator import RoomSimulator, run_stacked_racks
+from repro.room.stack import stacked_unsupported_reason
 from repro.room.topology import CONTAINMENT_FACTORS, RoomTopology
 
 __all__ = [

@@ -1,93 +1,109 @@
-"""Lockstep room simulation driver.
+"""The lockstep driver behind racks, rooms and stacked campaign chunks.
 
-:class:`RoomSimulator` advances every server of every rack in a
-:class:`~repro.room.room.Room` through the same time grid, mirroring
-:class:`~repro.fleet.simulator.FleetSimulator` one level up:
+:class:`_LockstepDriver` advances every server of a list of racks
+through the same time grid, coupled by one
+:class:`~repro.fleet.coupling.CouplingOperator` over the concatenated
+server list.  It owns everything the entry points share: the backend
+check and scalar fallback, coupling arming, fault injection, the obs
+stream and health monitor, the lanes themselves, and the fault and obs
+extras.  The lanes are:
 
-* ``"vectorized"`` - all racks stack into **one** ``(R*B,)``-wide
-  :class:`~repro.sim.batch.BatchStepper` (via
-  :mod:`repro.room.stack`), with the room's
-  :class:`~repro.room.coupling.SparseCoupling` applied as a block-sparse
-  mat-vec once per ``dt``.  This is the room's native execution model:
-  the per-``dt`` Python dispatch is paid once for the whole room
-  instead of once per rack.
-* ``"fused"`` - the same ``(R*B,)`` stacking executed by the
-  window-fused :class:`~repro.sim.fused.FusedStepper`, which advances
-  whole control windows per dispatch (tier-B equivalence, see
-  ``docs/backends.md``).
+* ``"vectorized"`` - all racks stack into **one** ``(R*B,)``
+  :class:`~repro.sim.batch.BatchStepper` (via :mod:`repro.room.stack`),
+  with the coupling applied once per ``dt``: the per-``dt`` Python
+  dispatch is paid once for the whole stack instead of once per rack.
+* ``"fused"`` - the same stacking advanced a control window per
+  dispatch (tier-B equivalence, see ``docs/backends.md``).
 * ``"scalar"`` - one :class:`~repro.sim.engine.ServerStepper` per
-  server with :meth:`Room.update_inlets` once per step; the bit-for-bit
-  reference the stacked path is tested against.
+  server with one inlet update per step; the bit-for-bit reference the
+  stacked lanes are tested against.
 
-``backend="auto"`` (the default) stacks whenever the room's plants and
-sensors support batching, falling back to scalar (with the reason
-recorded in ``RoomResult.extras``) otherwise.
+``backend="auto"`` (the default) stacks on the vectorized lane whenever
+the racks support batching and otherwise falls back to scalar; every
+fallback from an array lane records its reason in ``extras``.
+
+The entry points only package the run:
+:class:`~repro.fleet.simulator.FleetSimulator` drives one rack with its
+own operator, :class:`RoomSimulator` a :class:`~repro.room.room.Room`
+with its sparse coupling and CRACs, and :func:`run_stacked_racks` many
+independent racks at once.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.fleet.coupling import CouplingOperator
+from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
 from repro.obs.collector import resolve_obs
+from repro.room.coupling import SparseCoupling
 from repro.room.result import RoomResult
-from repro.room.room import Room
 from repro.room.stack import (
+    controller_backend,
     split_stacked_results,
     stacked_stepper,
     stacked_unsupported_reason,
 )
 from repro.sim.backends import BACKENDS, batch_stepper
-from repro.sim.engine import ServerStepper
+from repro.sim.engine import ServerStepper, _validate_timing
 from repro.units import check_duration
 from repro.workload.performance import DeadlineTracker
 
+if TYPE_CHECKING:
+    from repro.room.room import Room
 
-class RoomSimulator:
-    """Step a whole room in lockstep with sparse recirculation coupling.
 
-    Parameters mirror :class:`~repro.fleet.simulator.FleetSimulator`,
-    plus ``inlet_limit_c`` feeding the room result's supply-margin
-    metric (default: the room's own limit, which scenario builders take
-    from :attr:`~repro.config.RoomConfig.inlet_limit_c`).
+class _LockstepDriver:
+    """Step racks in lockstep, coupled by one operator over all servers.
+
+    ``room`` (optional) adds what only rooms have: CRAC faults bound to
+    the coupling and supply-margin checks in the health monitor.
+    ``strict`` raises :class:`~repro.errors.SimulationError` where the
+    racks cannot stack, instead of falling back to scalar.
     """
 
     def __init__(
         self,
-        room: Room,
+        racks: Sequence[Rack],
+        coupling: CouplingOperator,
+        room: Room | None = None,
         dt_s: float = 0.1,
         record_decimation: int = 1,
         violation_tolerance: float = 0.01,
         degradation_window: int = 10,
         backend: str = "auto",
-        inlet_limit_c: float | None = None,
         faults=None,
         obs=None,
+        inlet_limit_c: float | None = None,
+        strict: bool = False,
     ) -> None:
         if backend not in BACKENDS:
             raise SimulationError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}"
             )
+        self._racks = tuple(racks)
+        self._slots = tuple(slot for rack in self._racks for slot in rack)
+        self._dt = _validate_timing(
+            dt_s,
+            min(slot.controller.control.cpu_interval_s for slot in self._slots),
+            record_decimation,
+        )
+        self._coupling = coupling
         self._room = room
-        self._dt = check_duration(dt_s, "dt_s")
         self._decimation = record_decimation
         self._violation_tolerance = violation_tolerance
         self._degradation_window = degradation_window
         self._backend = backend
-        self._inlet_limit_c = (
-            room.inlet_limit_c if inlet_limit_c is None else inlet_limit_c
-        )
         self._faults = faults
         self._obs = resolve_obs(obs)
-
-    @property
-    def room(self) -> Room:
-        """The room being simulated."""
-        return self._room
+        self._inlet_limit_c = inlet_limit_c
+        self._strict = strict
 
     @property
     def backend(self) -> str:
@@ -103,159 +119,114 @@ class RoomSimulator:
         """
         return self._obs
 
-    def _injector(self):
-        """Fresh per-run fault machinery bound to the room (or None)."""
-        if self._faults is None:
-            return None
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            self._faults, [slot.plant for slot in self._room]
-        )
-        injector.bind_coupling(self._room.coupling, len(self._room.cracs))
-        return injector
-
-    def run(self, duration_s: float, label: str = "room") -> RoomResult:
-        """Simulate the whole room for ``duration_s`` seconds."""
+    def _run_racks(
+        self, duration_s: float, label: str, rack_labels: Sequence[str]
+    ) -> tuple[list[FleetResult], dict]:
+        """Run once; returns one result per rack and the run's extras."""
         check_duration(duration_s, "duration_s")
         n_steps = int(round(duration_s / self._dt))
         if n_steps < 1:
             raise SimulationError(f"duration {duration_s} shorter than one step")
+        reason = None
+        if self._backend != "scalar":
+            reason = stacked_unsupported_reason(self._racks, self._coupling)
+            if reason is not None and self._strict:
+                raise SimulationError(f"stacked batch unsupported: {reason}")
 
-        # Arm the coupling's dynamic CRAC supply filter (no-op when
-        # static) so both lanes step the same RC states from zero.
-        coupling = self._room.coupling
-        if getattr(coupling, "is_dynamic", False):
-            coupling.prepare_run(self._dt)
+        # Arm the coupling's per-run state (the dynamic CRAC supply
+        # filter) so every lane steps the same RC states from zero.
+        self._coupling.prepare_run(self._dt)
         injector = self._injector()
         obs = self._obs
+        start_s = self._slots[0].plant.time_s
         if obs is not None:
             from repro.obs.monitor import arm_run_monitor
 
             obs.label = label
-            obs.arm_stream(self._room.slots[0].plant.time_s)
+            obs.arm_stream(start_s)
             if injector is not None:
                 injector.bind_obs(obs)
             arm_run_monitor(
                 obs,
-                plants=[slot.plant for slot in self._room],
-                controllers=[slot.controller for slot in self._room],
-                start_s=self._room.slots[0].plant.time_s,
+                plants=[slot.plant for slot in self._slots],
+                controllers=[slot.controller for slot in self._slots],
+                start_s=start_s,
                 label=label,
-                sensors=[slot.sensor for slot in self._room],
+                sensors=[slot.sensor for slot in self._slots],
                 schedule=self._faults,
                 room=self._room,
                 inlet_limit_c=self._inlet_limit_c,
             )
 
-        fallback_reason = None
-        if self._backend in ("auto", "vectorized", "fused"):
-            fallback_reason = stacked_unsupported_reason(
-                self._room.racks, self._room.coupling
-            )
-            if fallback_reason is None:
-                return self._run_vectorized(n_steps, label, injector)
-        extras = {"backend": "scalar"}
-        if fallback_reason is not None:
-            extras["fallback_reason"] = fallback_reason
-        return self._run_scalar(n_steps, label, extras, injector)
-
-    # ------------------------------------------------------------------
-
-    def _rack_labels(self, label: str) -> list[str]:
-        return [f"{label}/rack{r:02d}" for r in range(self._room.n_racks)]
-
-    def _package(
-        self,
-        rack_results: list[FleetResult],
-        label: str,
-        extras: dict,
-    ) -> RoomResult:
-        room = self._room
-        crac_energy = 0.0
-        for crac in room.cracs:
-            heat_j = sum(
-                rack_results[r].metrics.total_energy_j for r in crac.racks
-            )
-            crac_energy += crac.energy_j(heat_j)
-        extras = dict(extras)
-        extras.setdefault("n_racks", room.n_racks)
-        extras.setdefault("stacked_width", room.n_servers)
-        extras.setdefault("containment", room.topology.containment)
-        return RoomResult(
-            rack_results=tuple(rack_results),
-            supply_c=room.supply_temperatures_c(),
-            crac_energy_j=crac_energy,
-            inlet_limit_c=self._inlet_limit_c,
-            label=label,
-            extras=extras,
-        )
-
-    def _fault_extras(self, extras: dict, injector, n_steps: int) -> dict:
-        from repro.faults.injector import attach_fault_summary
-
-        return attach_fault_summary(extras, injector, n_steps * self._dt)
-
-    def _obs_extras(self, extras: dict) -> dict:
-        """Finalize the run's collector and attach ``extras["obs"]``."""
-        obs = self._obs
-        if obs is not None:
-            obs.finish_run(self._room.slots[0].plant.time_s)
-            extras["obs"] = obs.summary()
-        return extras
-
-    def _run_vectorized(
-        self, n_steps: int, label: str, injector=None
-    ) -> RoomResult:
-        room = self._room
-        lane, _ = batch_stepper(self._backend)
-        stepper = stacked_stepper(
-            room.racks,
-            n_steps=n_steps,
-            dt_s=self._dt,
-            record_decimation=self._decimation,
-            violation_tolerance=self._violation_tolerance,
-            degradation_window=self._degradation_window,
-            coupling=room.coupling,
-            # run() already consulted stacked_unsupported_reason.
-            precheck=False,
-            injector=injector,
-            obs=self._obs,
-            backend=lane,
-        )
-        if self._obs is not None:
-            with self._obs.span("run"):
-                stepper.run()
-        else:
-            stepper.run()
-        rack_results = split_stacked_results(
-            stepper, room.racks, self._rack_labels(label), backend=lane
-        )
-        extras = {"backend": lane}
-        fallbacks = stepper.controller_fallbacks
-        if not fallbacks:
-            extras["controller_backend"] = "vectorized"
-        elif stepper.n_vectorized_controllers == 0:
-            extras["controller_backend"] = "scalar"
-        else:
-            extras["controller_backend"] = "mixed"
-        return self._package(
-            rack_results,
-            label,
-            self._obs_extras(self._fault_extras(extras, injector, n_steps)),
-        )
-
-    def _run_scalar(
-        self, n_steps: int, label: str, extras: dict, injector=None
-    ) -> RoomResult:
-        room = self._room
         trackers = [
             DeadlineTracker(
                 tolerance=self._violation_tolerance,
                 window=self._degradation_window,
             )
-            for _ in range(room.n_servers)
+            for _ in self._slots
         ]
+        run_span = obs.span("run") if obs is not None else nullcontext()
+        if self._backend == "scalar" or reason is not None:
+            results, extras = self._run_scalar(
+                n_steps, rack_labels, trackers, injector, run_span, reason
+            )
+        else:
+            results, extras = self._run_batch(
+                n_steps, rack_labels, trackers, injector, run_span
+            )
+
+        from repro.faults.injector import attach_fault_summary
+
+        attach_fault_summary(extras, injector, n_steps * self._dt)
+        if obs is not None:
+            obs.finish_run(self._slots[0].plant.time_s)
+            extras["obs"] = obs.summary()
+        return results, extras
+
+    def _injector(self):
+        """Fresh per-run fault machinery (None without a schedule)."""
+        if self._faults is None:
+            return None
+        from repro.faults.injector import FaultInjector
+
+        injector = FaultInjector(self._faults, [slot.plant for slot in self._slots])
+        if self._room is None:
+            injector.require_no_room_faults()
+        else:
+            injector.bind_coupling(self._coupling, len(self._room.cracs))
+        return injector
+
+    def _run_batch(self, n_steps, rack_labels, trackers, injector, run_span):
+        lane, _ = batch_stepper(self._backend)
+        stepper = stacked_stepper(
+            self._racks,
+            n_steps=n_steps,
+            dt_s=self._dt,
+            record_decimation=self._decimation,
+            trackers=trackers,
+            coupling=self._coupling,
+            injector=injector,
+            obs=self._obs,
+            backend=lane,
+        )
+        with run_span:
+            stepper.run()
+        results = split_stacked_results(
+            stepper, self._racks, rack_labels, backend=lane
+        )
+        extras = {
+            "backend": lane,
+            "controller_backend": controller_backend(
+                len(stepper.controller_fallbacks), stepper.n_servers
+            ),
+        }
+        return results, extras
+
+    def _run_scalar(
+        self, n_steps, rack_labels, trackers, injector, run_span, reason
+    ):
+        obs = self._obs
+        n = len(self._slots)
         steppers = [
             ServerStepper(
                 slot.plant,
@@ -268,58 +239,173 @@ class RoomSimulator:
                 tracker=tracker,
                 injector=injector,
                 server_index=index,
-                obs=self._obs,
-                # Only the last stepper commits the monitor sample (see
-                # FleetSimulator._run_scalar): rack-scope checks and the
-                # cadence advance must run once per step.
-                monitor_commit=(index == room.n_servers - 1),
+                obs=obs,
+                # All steppers share one per-step due instant; only the
+                # last commits the monitor sample, so rack-scope checks
+                # and the cadence advance run once per step - the same
+                # append order the batch lanes produce.
+                monitor_commit=(index == n - 1),
             )
-            for index, (slot, tracker) in enumerate(zip(room, trackers))
+            for index, (slot, tracker) in enumerate(zip(self._slots, trackers))
         ]
-
-        obs = self._obs
-        start = room.slots[0].plant.time_s
-        inlet_sums = np.zeros(room.n_servers)
-        with obs.span("run") if obs is not None else nullcontext():
+        # Rack.update_inlets is the one home of inlet propagation: a room
+        # delegates to a flat rack over its servers, and racks without a
+        # room get one over theirs.
+        flat = self._room
+        if flat is None:
+            flat = Rack(
+                self._slots,
+                coupling=self._coupling,
+                exhaust=self._racks[0].exhaust,
+            )
+        start_s = self._slots[0].plant.time_s
+        inlet_sums = np.zeros(n)
+        with run_span:
             for k in range(n_steps):
                 # Exhaust produced up to step k sets the inlets for
                 # step k+1.
                 if obs is not None:
                     t0 = time.perf_counter()
                 if injector is not None:
-                    # Same instant the batch lane polls: the step time
+                    # Same instant the batch lanes poll: the step time
                     # the offsets computed below will be in force for.
-                    injector.poll_crac(start + (k + 1) * self._dt)
-                room.update_inlets()
+                    injector.poll_crac(start_s + (k + 1) * self._dt)
+                flat.update_inlets()
                 if obs is not None:
                     obs.phase("coupling", t0, time.perf_counter())
                 for stepper in steppers:
                     stepper.step()
-                inlet_sums += room.inlet_temperatures_c()
+                inlet_sums += flat.inlet_temperatures_c()
         mean_inlets = inlet_sums / n_steps
 
-        rack_results = []
-        labels = self._rack_labels(label)
+        extras = {"backend": "scalar"}
+        if reason is not None:
+            extras["fallback_reason"] = reason
+        results = []
         start = 0
-        for rack, rack_label in zip(room.racks, labels):
+        for rack, rack_label in zip(self._racks, rack_labels):
             stop = start + rack.n_servers
-            server_results = tuple(
-                stepper.finish(label=f"{rack_label}/{slot.name}")
-                for slot, stepper in zip(rack, steppers[start:stop])
-            )
-            rack_results.append(
+            results.append(
                 FleetResult(
-                    server_results=server_results,
-                    mean_inlet_c=tuple(
-                        float(v) for v in mean_inlets[start:stop]
+                    server_results=tuple(
+                        stepper.finish(label=f"{rack_label}/{slot.name}")
+                        for slot, stepper in zip(rack, steppers[start:stop])
                     ),
+                    mean_inlet_c=tuple(float(v) for v in mean_inlets[start:stop]),
                     label=rack_label,
                     extras=dict(extras),
                 )
             )
             start = stop
-        return self._package(
-            rack_results,
-            label,
-            self._obs_extras(self._fault_extras(extras, injector, n_steps)),
+        return results, extras
+
+
+class RoomSimulator(_LockstepDriver):
+    """Step a whole room in lockstep with sparse recirculation coupling.
+
+    Parameters mirror :class:`~repro.fleet.simulator.FleetSimulator`,
+    plus ``inlet_limit_c`` feeding the room result's supply-margin
+    metric (default: the room's own limit, which scenario builders take
+    from :attr:`~repro.config.RoomConfig.inlet_limit_c`).  CRAC faults
+    (``crac_brownout``) are accepted here only.
+    """
+
+    def __init__(
+        self,
+        room: Room,
+        dt_s: float = 0.1,
+        record_decimation: int = 1,
+        violation_tolerance: float = 0.01,
+        degradation_window: int = 10,
+        backend: str = "auto",
+        inlet_limit_c: float | None = None,
+        faults=None,
+        obs=None,
+    ) -> None:
+        super().__init__(
+            room.racks,
+            room.coupling,
+            room=room,
+            dt_s=dt_s,
+            record_decimation=record_decimation,
+            violation_tolerance=violation_tolerance,
+            degradation_window=degradation_window,
+            backend=backend,
+            faults=faults,
+            obs=obs,
+            inlet_limit_c=(
+                room.inlet_limit_c if inlet_limit_c is None else inlet_limit_c
+            ),
         )
+
+    @property
+    def room(self) -> Room:
+        """The room being simulated."""
+        return self._room
+
+    def run(self, duration_s: float, label: str = "room") -> RoomResult:
+        """Simulate the whole room for ``duration_s`` seconds."""
+        room = self._room
+        rack_results, extras = self._run_racks(
+            duration_s,
+            label,
+            [f"{label}/rack{r:02d}" for r in range(room.n_racks)],
+        )
+        crac_energy = 0.0
+        for crac in room.cracs:
+            heat_j = sum(
+                rack_results[r].metrics.total_energy_j for r in crac.racks
+            )
+            crac_energy += crac.energy_j(heat_j)
+        extras["n_racks"] = room.n_racks
+        extras["stacked_width"] = room.n_servers
+        extras["containment"] = room.topology.containment
+        return RoomResult(
+            rack_results=tuple(rack_results),
+            supply_c=room.supply_temperatures_c(),
+            crac_energy_j=crac_energy,
+            inlet_limit_c=self._inlet_limit_c,
+            label=label,
+            extras=extras,
+        )
+
+
+def run_stacked_racks(
+    racks: Sequence[Rack],
+    duration_s: float,
+    dt_s: float = 0.1,
+    record_decimation: int = 1,
+    violation_tolerance: float = 0.01,
+    degradation_window: int = 10,
+    labels: Sequence[str] | None = None,
+    coupling: CouplingOperator | None = None,
+    backend: str = "vectorized",
+) -> list[FleetResult]:
+    """Run R racks as one stacked ``(R*B,)`` batch on an array lane.
+
+    With the default block-diagonal coupling the racks stay mutually
+    independent and every per-rack result is bit-for-bit identical to a
+    standalone ``FleetSimulator`` run of that rack on the same lane;
+    passing a room-wide operator couples them.  Raises
+    :class:`~repro.errors.SimulationError` when the racks cannot stack
+    (see :func:`~repro.room.stack.stacked_unsupported_reason`).
+    """
+    lane, _ = batch_stepper(backend)
+    if not racks:
+        raise SimulationError("stacked batch unsupported: no racks")
+    if labels is None:
+        labels = [f"rack{r:02d}" for r in range(len(racks))]
+    if coupling is None:
+        coupling = SparseCoupling.from_racks(racks)
+    driver = _LockstepDriver(
+        racks,
+        coupling,
+        dt_s=dt_s,
+        record_decimation=record_decimation,
+        violation_tolerance=violation_tolerance,
+        degradation_window=degradation_window,
+        backend=lane,
+        strict=True,
+    )
+    results, _ = driver._run_racks(duration_s, "stack", labels)
+    return results

@@ -1,19 +1,16 @@
-"""Stacked-batch execution: many same-shape racks as one ``(R*B,)`` batch.
+"""Stacked-batch building blocks: many same-shape racks as one ``(R*B,)`` batch.
 
 The vectorized backend's throughput comes from amortizing the per-``dt``
 Python dispatch over the batch width, so R racks of B servers run faster
 as **one** ``(R*B,)``-wide :class:`~repro.sim.batch.BatchStepper` than
-as R separate ``(B,)`` runs - the whole point of the room subsystem's
-execution model, and equally useful for campaigns that happen to hold
-several same-shape rack tasks.
+as R separate ``(B,)`` runs - the room subsystem's execution model, and
+equally useful for campaigns that hold several same-shape rack tasks.
 
-:func:`run_stacked_racks` performs that stacking for *independent* racks
-(block-diagonal coupling, each rack only recirculating into itself), in
-which case every per-rack result is bit-for-bit identical to running
-that rack alone through ``FleetSimulator(backend="vectorized")``;
-:class:`~repro.room.simulator.RoomSimulator` passes a room-wide
-:class:`~repro.room.coupling.SparseCoupling` instead to add aisle and
-CRAC cross-terms on top.
+The lockstep driver in :mod:`repro.room.simulator` - behind
+``FleetSimulator``, ``RoomSimulator`` and ``run_stacked_racks`` alike -
+vets a stack with :func:`stacked_unsupported_reason`, builds its stepper
+with :func:`stacked_stepper` and packages the finished run with
+:func:`split_stacked_results`.  A single rack is a stack of one.
 """
 
 from __future__ import annotations
@@ -21,17 +18,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import SimulationError
+from repro.fleet.coupling import CouplingOperator
 from repro.fleet.rack import Rack
 from repro.fleet.result import FleetResult
-from repro.room.coupling import SparseCoupling
 from repro.sim.backends import batch_stepper
 from repro.sim.batch import BatchStepper, batch_unsupported_reason
-from repro.units import check_duration
-from repro.workload.performance import DeadlineTracker
 
 
 def stacked_unsupported_reason(
-    racks: Sequence[Rack], coupling: SparseCoupling | None = None
+    racks: Sequence[Rack], coupling: CouplingOperator | None = None
 ) -> str | None:
     """Why these racks cannot run as one stacked batch (None = they can)."""
     if not racks:
@@ -44,11 +39,11 @@ def stacked_unsupported_reason(
                 "stacked batch shares one exhaust model"
             )
     if coupling is not None:
-        sizes = tuple(rack.n_servers for rack in racks)
-        if coupling.block_sizes != sizes:
+        n = sum(rack.n_servers for rack in racks)
+        if coupling.n_servers != n:
             return (
-                f"coupling blocks sized {coupling.block_sizes} do not match "
-                f"racks sized {sizes}"
+                f"coupling is for {coupling.n_servers} servers, the racks "
+                f"hold {n}"
             )
     return batch_unsupported_reason(
         [slot.plant for rack in racks for slot in rack],
@@ -61,11 +56,9 @@ def stacked_stepper(
     racks: Sequence[Rack],
     n_steps: int,
     dt_s: float,
-    record_decimation: int = 1,
-    violation_tolerance: float = 0.01,
-    degradation_window: int = 10,
-    coupling: SparseCoupling | None = None,
-    precheck: bool = True,
+    record_decimation: int,
+    trackers: Sequence,
+    coupling: CouplingOperator,
     injector=None,
     obs=None,
     backend: str = "vectorized",
@@ -73,18 +66,12 @@ def stacked_stepper(
     """Build the ``(R*B,)`` batch stepper for a stack of racks.
 
     ``backend`` names the batch lane (``"vectorized"`` or ``"fused"``,
-    resolved by :func:`repro.sim.backends.batch_stepper`).
-    Raises :class:`~repro.errors.SimulationError` when the stack cannot
-    batch; callers wanting a silent fallback should consult
-    :func:`stacked_unsupported_reason` first - and may then pass
-    ``precheck=False`` to skip revalidating the same racks.
+    resolved by :func:`repro.sim.backends.batch_stepper`); ``coupling``
+    acts on the concatenated server list and ``trackers`` holds one
+    :class:`~repro.workload.performance.DeadlineTracker` per server.
+    The caller vets the stack with :func:`stacked_unsupported_reason`
+    first.
     """
-    if precheck:
-        reason = stacked_unsupported_reason(racks, coupling)
-        if reason is not None:
-            raise SimulationError(f"stacked batch unsupported: {reason}")
-    if coupling is None:
-        coupling = SparseCoupling.from_racks(racks)
     slots = [slot for rack in racks for slot in rack]
     _, stepper_cls = batch_stepper(backend)
     return stepper_cls(
@@ -95,17 +82,19 @@ def stacked_stepper(
         n_steps=n_steps,
         dt_s=dt_s,
         record_decimation=record_decimation,
-        trackers=[
-            DeadlineTracker(
-                tolerance=violation_tolerance, window=degradation_window
-            )
-            for _ in slots
-        ],
+        trackers=trackers,
         coupling=coupling,
         exhaust=racks[0].exhaust,
         injector=injector,
         obs=obs,
     )
+
+
+def controller_backend(n_fallbacks: int, n_servers: int) -> str:
+    """How a run's DTMs stepped: ``"vectorized"``, ``"mixed"`` or ``"scalar"``."""
+    if not n_fallbacks:
+        return "vectorized"
+    return "scalar" if n_fallbacks == n_servers else "mixed"
 
 
 def split_stacked_results(
@@ -116,9 +105,9 @@ def split_stacked_results(
 ) -> list[FleetResult]:
     """Package a finished stacked run into one :class:`FleetResult` per rack.
 
-    Each result carries the provenance ``FleetSimulator`` would record
-    (backend, controller backend, per-server fallbacks) plus a
-    ``"stacked"`` entry describing the stack the rack rode in.
+    Each result carries its rack's provenance (backend, controller
+    backend, per-server fallbacks) plus a ``"stacked"`` entry describing
+    the stack the rack rode in.
     """
     if len(labels) != len(racks):
         raise SimulationError("need one label per rack")
@@ -145,13 +134,10 @@ def split_stacked_results(
                 "width": stepper.n_servers,
                 "position": position,
             },
+            "controller_backend": controller_backend(
+                len(rack_fallbacks), rack.n_servers
+            ),
         }
-        if not rack_fallbacks:
-            extras["controller_backend"] = "vectorized"
-        elif len(rack_fallbacks) == rack.n_servers:
-            extras["controller_backend"] = "scalar"
-        else:
-            extras["controller_backend"] = "mixed"
         if rack_fallbacks:
             extras["controller_fallbacks"] = rack_fallbacks
         results.append(
@@ -164,45 +150,3 @@ def split_stacked_results(
         )
         start = stop
     return results
-
-
-def run_stacked_racks(
-    racks: Sequence[Rack],
-    duration_s: float,
-    dt_s: float = 0.1,
-    record_decimation: int = 1,
-    violation_tolerance: float = 0.01,
-    degradation_window: int = 10,
-    labels: Sequence[str] | None = None,
-    coupling: SparseCoupling | None = None,
-    precheck: bool = True,
-    backend: str = "vectorized",
-) -> list[FleetResult]:
-    """Run R racks as one stacked ``(R*B,)`` vectorized batch.
-
-    With the default block-diagonal coupling the racks stay mutually
-    independent and every per-rack result is bit-for-bit identical to a
-    standalone ``FleetSimulator(backend="vectorized")`` run of that
-    rack; passing a room-wide operator couples them.  ``precheck=False``
-    skips revalidation for callers that already consulted
-    :func:`stacked_unsupported_reason` on these racks.
-    """
-    check_duration(duration_s, "duration_s")
-    n_steps = int(round(duration_s / dt_s))
-    if n_steps < 1:
-        raise SimulationError(f"duration {duration_s} shorter than one step")
-    if labels is None:
-        labels = [f"rack{r:02d}" for r in range(len(racks))]
-    stepper = stacked_stepper(
-        racks,
-        n_steps=n_steps,
-        dt_s=dt_s,
-        record_decimation=record_decimation,
-        violation_tolerance=violation_tolerance,
-        degradation_window=degradation_window,
-        coupling=coupling,
-        precheck=precheck,
-        backend=backend,
-    )
-    stepper.run()
-    return split_stacked_results(stepper, racks, labels, backend=backend)

@@ -67,12 +67,16 @@ TELEMETRY_CHANNELS = (
 def _validate_timing(
     dt_s: float, cpu_interval_s: float, record_decimation: int
 ) -> float:
-    """Shared constructor validation for Simulator and ServerStepper."""
+    """Shared constructor validation for every simulation driver."""
     dt = check_duration(dt_s, "dt_s")
     if cpu_interval_s + 1e-12 < dt:
         raise SimulationError(
             f"dt_s ({dt_s}) must not exceed the CPU control interval "
             f"({cpu_interval_s})"
+        )
+    if not isinstance(record_decimation, (int, np.integer)):
+        raise SimulationError(
+            f"record_decimation must be an integer, got {record_decimation!r}"
         )
     if record_decimation < 1:
         raise SimulationError(

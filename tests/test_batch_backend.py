@@ -24,6 +24,7 @@ from repro.fleet import (
 )
 from repro.fleet.rack import ServerSlot
 from repro.fleet.scenarios import _SEED_STRIDE
+from repro.room import Room, RoomSimulator
 from repro.sensing.noise import GaussianNoise
 from repro.sensing.sensor import TemperatureSensor
 from repro.sim import (
@@ -259,6 +260,17 @@ class TestFallback:
         result = FleetSimulator(
             self._time_varying_rack(), dt_s=_DT, backend="vectorized"
         ).run(30.0)
+        assert result.extras["backend"] == "scalar"
+        assert "ambient" in result.extras["fallback_reason"]
+
+    def test_auto_records_fallback_reason_for_rack(self):
+        result = FleetSimulator(self._time_varying_rack(), dt_s=_DT).run(30.0)
+        assert result.extras["backend"] == "scalar"
+        assert "ambient" in result.extras["fallback_reason"]
+
+    def test_auto_records_fallback_reason_for_room(self):
+        room = Room([self._time_varying_rack()])
+        result = RoomSimulator(room, dt_s=_DT).run(30.0)
         assert result.extras["backend"] == "scalar"
         assert "ambient" in result.extras["fallback_reason"]
 

@@ -507,7 +507,7 @@ def _assert_servers_equal(servers_a, servers_b):
 
 
 class TestOneDriver:
-    """A rack and the same rack as a one-rack room agree exactly."""
+    """Racks and rooms share one lockstep driver, so they agree exactly."""
 
     @pytest.mark.parametrize("backend", _LANES)
     def test_one_rack_room_matches_rack_under_faults(self, backend):
@@ -533,6 +533,48 @@ class TestOneDriver:
         _assert_servers_equal(racked.server_results, fleet.server_results)
         assert racked.mean_inlet_c == fleet.mean_inlet_c
         assert room.extras["faults"] == fleet.extras["faults"]
+
+    @pytest.mark.parametrize("backend", _LANES)
+    def test_rack_carrying_dynamic_coupling_matches_room(self, backend):
+        cfg = RoomConfig(
+            n_rows=1,
+            racks_per_row=2,
+            servers_per_rack=3,
+            crac=CRACConfig(supply_time_constant_s=30.0),
+        )
+        room = uniform_room(cfg, duration_s=60.0)
+        assert room.coupling.is_dynamic
+        rack = Rack(room.slots, coupling=room.coupling, exhaust=room.exhaust)
+        flat = FleetSimulator(rack, dt_s=0.5, backend=backend).run(60.0)
+        reference = RoomSimulator(
+            uniform_room(cfg, duration_s=60.0), dt_s=0.5, backend=backend
+        ).run(60.0)
+        assert flat.extras["backend"] == backend
+        _assert_servers_equal(
+            flat.server_results,
+            [s for r in reference.rack_results for s in r.server_results],
+        )
+        assert flat.mean_inlet_c == tuple(
+            v for r in reference.rack_results for v in r.mean_inlet_c
+        )
+
+    @pytest.mark.parametrize("decimation", [0, 2.5])
+    @pytest.mark.parametrize("scope", ["rack", "room"])
+    @pytest.mark.parametrize("backend", _LANES)
+    def test_record_decimation_rejected_at_construction(
+        self, backend, scope, decimation
+    ):
+        if scope == "rack":
+            driver = FleetSimulator
+            target = homogeneous_rack(n_servers=2, duration_s=10.0)
+        else:
+            driver = RoomSimulator
+            target = uniform_room(
+                RoomConfig(n_rows=1, racks_per_row=2, servers_per_rack=2),
+                duration_s=10.0,
+            )
+        with pytest.raises(SimulationError, match="record_decimation"):
+            driver(target, backend=backend, record_decimation=decimation)
 
 
 class TestRoomScenariosAndResult:
