@@ -184,32 +184,39 @@ def _p_only_rows(
     t_op_arr = np.array(t_op)
     gain_arr = np.array(gains, dtype=float)
     ambient = np.full(n_rows, plants[0].ambient.temperature_c(0.0))
-    util = np.full(n_rows, utilization)
+    socket_w, _ = batch.power(np.full(n_rows, utilization))
 
     n_steps = int(round(duration_s / dt_s))
     times = np.arange(1, n_steps + 1) * dt_s
     # Newest sample that has cleared the transport delay at each step, as
     # a history row (0 = the power-on reading).
     cols = np.searchsorted(times + config.sensing.lag_s, times, side="right")
+    # Fan decisions run after the physics of their step, so fan levels
+    # are frozen over each window that ends at a decision step: one
+    # advance per window, its readings quantized in one call.
     fan_interval = config.control.fan_interval_s
-    decide = []
+    decisions = []
     next_decision = fan_interval
-    for t in times.tolist():
-        due = t + 1e-9 >= next_decision
-        if due:
+    for k, t in enumerate(times.tolist(), 1):
+        if t + 1e-9 >= next_decision:
             next_decision += fan_interval
-        decide.append(due)
+            decisions.append(k)
+    last_decision = decisions[-1] if decisions else 0
+    bounds = [0, *decisions]
+    if last_decision < n_steps:
+        bounds.append(n_steps)
 
     history = np.empty((n_steps + 1, n_rows))
     history[0] = initial
-    for k, (due, col) in enumerate(zip(decide, cols.tolist())):
-        junction, _, _ = batch.advance(ambient, util)
-        if quantizer is None:
-            history[k + 1] = junction
-        else:
-            history[k + 1] = quantizer.quantize_array(junction)
-        if due:
-            speeds = s_op_arr + gain_arr * (history[col] - t_op_arr)
+    for start, end in zip(bounds, bounds[1:]):
+        junction, _ = batch.advance(
+            ambient, np.broadcast_to(socket_w, (end - start, n_rows))
+        )
+        if quantizer is not None:
+            junction = quantizer.quantize_array(junction)
+        history[start + 1 : end + 1] = junction
+        if end <= last_decision:
+            speeds = s_op_arr + gain_arr * (history[cols[end - 1]] - t_op_arr)
             for r, speed in enumerate(speeds.tolist()):
                 batch.apply_fan_speed(r, speed)
     batch.check_finite()

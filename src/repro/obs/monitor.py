@@ -344,148 +344,174 @@ class HealthMonitor:
         Pure float arithmetic on already-produced channel values; the
         batch lanes feed the exact same code via :meth:`ingest_batch`.
         """
-        finite = math.isfinite(tmeas_c)
+        self._sample_rows(t, ((i, tmeas_c, fan_cmd_rpm, applied_util),))
 
-        # tmeas margin to the critical limit.
-        inc = self._tm_open[i]
-        if finite and tmeas_c >= self._tm_threshold[i]:
-            if inc is None:
-                self._tm_open[i] = self._open(
-                    "tmeas_margin", "critical", f"server:{i}", t, tmeas_c
-                )
-        elif inc is not None:
-            self._close(inc, t)
-            self._tm_open[i] = None
+    def _sample_rows(self, t: float, rows) -> None:
+        """The per-server detectors over ``(server, tmeas, fan, util)`` rows.
 
-        # Fan saturation dwell.
-        if fan_cmd_rpm >= self._fan_threshold[i]:
-            since = self._fan_since[i]
-            if since is None:
-                self._fan_since[i] = since = t
-            if (
-                self._fan_open[i] is None
-                and t - since + _EPS >= self._sat_dwell
-            ):
-                self._fan_open[i] = self._open(
-                    "fan_saturation", "warning", f"server:{i}", t, fan_cmd_rpm
-                )
-        else:
-            self._fan_since[i] = None
-            inc = self._fan_open[i]
-            if inc is not None:
-                self._close(inc, t)
-                self._fan_open[i] = None
-
-        # Utilization EWMAs, shared by the stuck gate (fast) and the
-        # drift gate (fast vs slow): thermal inertia filters brief
-        # spikes, so detectors reason about *sustained* power movement.
-        uf = self._util_fast[i]
-        if uf is None:
-            uf = applied_util
-            self._util_fast[i] = applied_util
-            self._util_slow[i] = applied_util
-        else:
-            uf = uf + self._alpha_fast * (applied_util - uf)
-            self._util_fast[i] = uf
-            us = self._util_slow[i]
-            self._util_slow[i] = us + self._alpha_slow * (applied_util - us)
-        # Circular ring, not append/pop: this runs every sample.  During
-        # the first ``depth`` samples the slot is still None and the
-        # current value stands in - harmless, because the stuck hold
-        # (>= one fan period) cannot elapse that early in a run.
-        ring = self._util_rings[i]
-        pos = self._util_pos[i]
-        uf_lag = ring[pos]
-        ring[pos] = uf
-        self._util_pos[i] = (pos + 1) % len(ring)
-        if uf_lag is None:
-            uf_lag = uf
-
-        # Stuck-at: reading bit-identical over multiple fan periods
-        # while *smoothed* utilization moved.  Exact float equality on
-        # purpose - the quantized reading is the channel being tested.
-        # The gate uses the fast EWMA's excursion, not raw min/max: a
-        # regulated server under a bursty workload holds one ADC code
-        # for minutes while instantaneous power spikes (the plant's
-        # thermal mass filters them), but a *sustained* shift of
-        # ``stuck_min_util_delta`` must move a real junction past one
-        # LSB between 30 s fan corrections.  The excursion is evaluated
-        # on the *lag-delayed* EWMA (``uf_lag``): the reading at t
-        # reflects the junction ``lag_s`` earlier, so power that moved
-        # within the last transport lag cannot yet show up in a healthy
-        # measurement and must not count against it.
-        if not finite:
-            self._stuck_last[i] = None
-            inc = self._stuck_open[i]
-            if inc is not None:
-                self._close(inc, t)
-                self._stuck_open[i] = None
-        elif self._stuck_last[i] is None or tmeas_c != self._stuck_last[i]:
-            self._stuck_last[i] = tmeas_c
-            self._stuck_since[i] = t
-            self._stuck_umin[i] = uf_lag
-            self._stuck_umax[i] = uf_lag
-            inc = self._stuck_open[i]
-            if inc is not None:
-                self._close(inc, t)
-                self._stuck_open[i] = None
-        else:
-            if uf_lag < self._stuck_umin[i]:
-                self._stuck_umin[i] = uf_lag
-            if uf_lag > self._stuck_umax[i]:
-                self._stuck_umax[i] = uf_lag
-            if (
-                self._stuck_open[i] is None
-                and t - self._stuck_since[i] + _EPS >= self._stuck_hold[i]
-                and self._stuck_umax[i] - self._stuck_umin[i]
-                >= self._stuck_delta
-            ):
-                self._stuck_open[i] = self._open(
-                    "stuck_sensor", "critical", f"server:{i}", t, tmeas_c
-                )
-
-        # Drift: fast/slow EWMA residual, gated on steady utilization.
-        if not finite:
-            # A NaN sample poisons the EWMAs; reset and let the
-            # watchdog / stuck detector own this failure mode.
-            self._drift_fast[i] = None
-            self._drift_since[i] = None
-            inc = self._drift_open[i]
-            if inc is not None:
-                self._close(inc, t)
-                self._drift_open[i] = None
-            return
-        ef = self._drift_fast[i]
-        if ef is None:
-            self._drift_fast[i] = tmeas_c
-            self._drift_slow[i] = tmeas_c
-            residual = 0.0
-        else:
-            self._drift_fast[i] = ef + self._alpha_fast * (tmeas_c - ef)
-            es = self._drift_slow[i]
-            self._drift_slow[i] = es + self._alpha_slow * (tmeas_c - es)
-            residual = self._drift_fast[i] - self._drift_slow[i]
-        steady = (
-            abs(self._util_fast[i] - self._util_slow[i]) <= self._drift_band
+        Rows run in the order given.  This is the subsystem's hot path
+        (every server, every due instant), so the detector state lists
+        are bound to locals once per call, not looked up per server.
+        """
+        open_, close = self._open, self._close
+        tm_open, tm_threshold = self._tm_open, self._tm_threshold
+        fan_threshold, fan_since, fan_open = (
+            self._fan_threshold, self._fan_since, self._fan_open
         )
-        if steady and abs(residual) >= self._drift_thresh:
-            since = self._drift_since[i]
-            if since is None:
-                self._drift_since[i] = since = t
-            if (
-                self._drift_open[i] is None
-                and t >= self._drift_armed_s
-                and t - since + _EPS >= self._drift_dwell
-            ):
-                self._drift_open[i] = self._open(
-                    "sensor_drift", "warning", f"server:{i}", t, residual
-                )
-        else:
-            self._drift_since[i] = None
-            inc = self._drift_open[i]
-            if inc is not None:
-                self._close(inc, t)
-                self._drift_open[i] = None
+        sat_dwell = self._sat_dwell
+        util_fast, util_slow = self._util_fast, self._util_slow
+        alpha_fast, alpha_slow = self._alpha_fast, self._alpha_slow
+        util_rings, util_pos = self._util_rings, self._util_pos
+        stuck_last, stuck_since = self._stuck_last, self._stuck_since
+        stuck_umin, stuck_umax = self._stuck_umin, self._stuck_umax
+        stuck_open, stuck_hold = self._stuck_open, self._stuck_hold
+        stuck_delta = self._stuck_delta
+        drift_fast, drift_slow = self._drift_fast, self._drift_slow
+        drift_since, drift_open = self._drift_since, self._drift_open
+        drift_band, drift_thresh = self._drift_band, self._drift_thresh
+        drift_dwell, drift_armed_s = self._drift_dwell, self._drift_armed_s
+        isfinite, eps = math.isfinite, _EPS
+        for i, tmeas_c, fan_cmd_rpm, applied_util in rows:
+            finite = isfinite(tmeas_c)
+
+            # tmeas margin to the critical limit.
+            inc = tm_open[i]
+            if finite and tmeas_c >= tm_threshold[i]:
+                if inc is None:
+                    tm_open[i] = open_(
+                        "tmeas_margin", "critical", f"server:{i}", t, tmeas_c
+                    )
+            elif inc is not None:
+                close(inc, t)
+                tm_open[i] = None
+
+            # Fan saturation dwell.
+            if fan_cmd_rpm >= fan_threshold[i]:
+                since = fan_since[i]
+                if since is None:
+                    fan_since[i] = since = t
+                if fan_open[i] is None and t - since + eps >= sat_dwell:
+                    fan_open[i] = open_(
+                        "fan_saturation", "warning", f"server:{i}", t,
+                        fan_cmd_rpm,
+                    )
+            else:
+                fan_since[i] = None
+                inc = fan_open[i]
+                if inc is not None:
+                    close(inc, t)
+                    fan_open[i] = None
+
+            # Utilization EWMAs, shared by the stuck gate (fast) and the
+            # drift gate (fast vs slow): thermal inertia filters brief
+            # spikes, so detectors reason about *sustained* power
+            # movement.
+            uf = util_fast[i]
+            if uf is None:
+                uf = us = applied_util
+            else:
+                uf = uf + alpha_fast * (applied_util - uf)
+                us = util_slow[i]
+                us = us + alpha_slow * (applied_util - us)
+            util_fast[i] = uf
+            util_slow[i] = us
+            # Circular ring, not append/pop: this runs every sample.
+            # During the first ``depth`` samples the slot is still None
+            # and the current value stands in - harmless, because the
+            # stuck hold (>= one fan period) cannot elapse that early in
+            # a run.
+            ring = util_rings[i]
+            pos = util_pos[i]
+            uf_lag = ring[pos]
+            ring[pos] = uf
+            util_pos[i] = (pos + 1) % len(ring)
+            if uf_lag is None:
+                uf_lag = uf
+
+            # Stuck-at: reading bit-identical over multiple fan periods
+            # while *smoothed* utilization moved.  Exact float equality
+            # on purpose - the quantized reading is the channel being
+            # tested.  The gate uses the fast EWMA's excursion, not raw
+            # min/max: a regulated server under a bursty workload holds
+            # one ADC code for minutes while instantaneous power spikes
+            # (the plant's thermal mass filters them), but a *sustained*
+            # shift of ``stuck_min_util_delta`` must move a real
+            # junction past one LSB between 30 s fan corrections.  The
+            # excursion is evaluated on the *lag-delayed* EWMA
+            # (``uf_lag``): the reading at t reflects the junction
+            # ``lag_s`` earlier, so power that moved within the last
+            # transport lag cannot yet show up in a healthy measurement
+            # and must not count against it.
+            if not finite:
+                stuck_last[i] = None
+                inc = stuck_open[i]
+                if inc is not None:
+                    close(inc, t)
+                    stuck_open[i] = None
+            elif stuck_last[i] is None or tmeas_c != stuck_last[i]:
+                stuck_last[i] = tmeas_c
+                stuck_since[i] = t
+                stuck_umin[i] = uf_lag
+                stuck_umax[i] = uf_lag
+                inc = stuck_open[i]
+                if inc is not None:
+                    close(inc, t)
+                    stuck_open[i] = None
+            else:
+                if uf_lag < stuck_umin[i]:
+                    stuck_umin[i] = uf_lag
+                if uf_lag > stuck_umax[i]:
+                    stuck_umax[i] = uf_lag
+                if (
+                    stuck_open[i] is None
+                    and t - stuck_since[i] + eps >= stuck_hold[i]
+                    and stuck_umax[i] - stuck_umin[i] >= stuck_delta
+                ):
+                    stuck_open[i] = open_(
+                        "stuck_sensor", "critical", f"server:{i}", t, tmeas_c
+                    )
+
+            # Drift: fast/slow EWMA residual, gated on steady utilization.
+            if not finite:
+                # A NaN sample poisons the EWMAs; reset and let the
+                # watchdog / stuck detector own this failure mode.
+                drift_fast[i] = None
+                drift_since[i] = None
+                inc = drift_open[i]
+                if inc is not None:
+                    close(inc, t)
+                    drift_open[i] = None
+                continue
+            ef = drift_fast[i]
+            if ef is None:
+                drift_fast[i] = tmeas_c
+                drift_slow[i] = tmeas_c
+                residual = 0.0
+            else:
+                ef = ef + alpha_fast * (tmeas_c - ef)
+                drift_fast[i] = ef
+                es = drift_slow[i]
+                es = es + alpha_slow * (tmeas_c - es)
+                drift_slow[i] = es
+                residual = ef - es
+            if abs(uf - us) <= drift_band and abs(residual) >= drift_thresh:
+                since = drift_since[i]
+                if since is None:
+                    drift_since[i] = since = t
+                if (
+                    drift_open[i] is None
+                    and t >= drift_armed_s
+                    and t - since + eps >= drift_dwell
+                ):
+                    drift_open[i] = open_(
+                        "sensor_drift", "warning", f"server:{i}", t, residual
+                    )
+            else:
+                drift_since[i] = None
+                inc = drift_open[i]
+                if inc is not None:
+                    close(inc, t)
+                    drift_open[i] = None
 
     def commit(self, t: float) -> None:
         """Finish the sample at *t*: rack checks, then advance the cadence."""
@@ -518,12 +544,10 @@ class HealthMonitor:
         bulk conversion, not N scalar indexings) so the detector
         arithmetic is bitwise-identical to the scalar lane.
         """
-        tm = tmeas.tolist()
-        fan = fan_cmd.tolist()
-        util = applied.tolist()
-        sample = self.sample_server
-        for i in range(self._n):
-            sample(t, i, tm[i], fan[i], util[i])
+        self._sample_rows(
+            t,
+            zip(range(self._n), tmeas.tolist(), fan_cmd.tolist(), applied.tolist()),
+        )
         self.commit(t)
 
 

@@ -8,11 +8,12 @@ rack or a sweep grid pays the whole interpreter overhead B times per
 
 * :class:`~repro.thermal.batch.BatchThermalPlant` (re-exported here) -
   die/heat-sink temperatures, powers, and fan-curve coefficients as
-  ``(B,)`` arrays with vectorized exact-exponential updates.  Decay
-  coefficients and fan-law resistances depend only on ``(dt, fan
-  speed)``; the controller toggles among a few discrete fan levels, so
-  they are computed once per level with *scalar* ``math`` calls
-  (bit-identical to the scalar plant) and cached.
+  ``(B,)`` arrays with vectorized exact-exponential updates, one call
+  per window of ``(w, B)`` rows.  Decay coefficients and fan-law
+  resistances depend only on ``(dt, fan speed)``; the controller
+  toggles among a few discrete fan levels, so they are computed once
+  per level with *scalar* ``math`` calls (bit-identical to the scalar
+  plant) and cached.
 * :class:`BatchSensorBank` - the noise -> ADC -> transport-delay pipeline
   grouped by what servers share: rows with one sample interval sample at
   the same instants into one value history, and rows within it with one
@@ -25,9 +26,11 @@ rack or a sweep grid pays the whole interpreter overhead B times per
   (:meth:`~repro.workload.base.Workload.demand_array`), the horizon is
   cut into windows that end at the next control decision (or before a
   fault change instant), and each window's plant work goes through
-  :meth:`BatchStepper._advance_window` - here an exact per-``dt`` scan,
-  in :mod:`repro.sim.fused` a closed form - before sensing, monitoring
-  and telemetry run at every step's own time.  The control decisions -
+  :meth:`BatchStepper._advance_window` - here an exact scan that builds
+  the window's forcing once (powers, coupled inlets, energy terms, one
+  row per step) and steps only the recurrence per ``dt``, in
+  :mod:`repro.sim.fused` a closed form - before sensing, monitoring and
+  telemetry run at every step's own time.  The control decisions -
   which fire once per CPU period, not per ``dt`` - run through the
   vectorized
   :class:`~repro.sim.batch_control.BatchGlobalController` for every
@@ -735,6 +738,10 @@ class BatchStepper:
         injector = self._injector
         fan_fault_rows = self._fan_fault_rows
         monitor = self._monitor
+        # The monitor's next due instant as a local: it moves only when
+        # the monitor commits a sample, so the per-step test is one
+        # float compare (never true without a monitor).
+        monitor_due = math.inf if monitor is None else monitor.next_due_s
         j = 0
         while j < m:
             # Fault transforms step only at window starts: windows break
@@ -802,11 +809,12 @@ class BatchStepper:
                 # Health monitoring: same due test as the scalar lane,
                 # sampling the post-control decision channels.  A
                 # monitor implies a live collector.
-                if monitor is not None and t_plus >= monitor.next_due_s:
+                if t_plus >= monitor_due:
                     clock.lap("sensing")
                     monitor.ingest_batch(
                         t, sensing.current, self._fan_cmd, applied[:, c]
                     )
+                    monitor_due = monitor.next_due_s
                     clock.lap("monitor")
                 if (k0 + kk) % decimation == 0:
                     if clock is not None:
@@ -854,62 +862,117 @@ class BatchStepper:
         times: list[float],
         times_arr: np.ndarray,
         clock: _PhaseClock | None,
-    ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Advance the plant over chunk steps ``j..e-1``: the exact scan.
 
-        Steps each column through the coupling, one
-        :meth:`BatchThermalPlant.advance`, the trapezoid energy update
-        and the inlet sum - the scalar engine's floats in its order, so
-        this lane stays bit-for-bit with it (tier A).  Returns the
-        per-step junction and heat-sink temperatures, indexable by
-        window column.
+        Fan levels, caps and plant coefficients are frozen inside a
+        window, so its forcing is built once, one row per step: socket
+        and CPU power, the inlet ambients (:meth:`_window_inlets`) and
+        the trapezoid energy terms; :meth:`BatchThermalPlant.advance`
+        then steps only the recurrence.  Every element runs the scalar
+        engine's floats in its order, and energies and inlet sums fold
+        left in step order, so this lane stays bit-for-bit with it (tier
+        A).  Returns the ``(w, B)`` junction and heat-sink rows.
         """
         plant = self._plant
-        coupled = self._coupled
-        if not coupled:
-            ambient = self._ambient_const
-        die_rows = []
-        hs_rows = []
-        for c in range(e - j):
-            if coupled:
-                offsets = self._zero_offsets
-                if not self._decoupled:
-                    # Exhaust conductance depends only on the fan-speed
-                    # array, which is replaced (never mutated) on fan
-                    # changes, so it is cached keyed on array identity.
-                    speeds = self._state_fan_speed
-                    if self._conductance_for is not speeds:
-                        self._conductance = np.maximum(
-                            self._g_floor, self._g_max * speeds / self._v_max_exh
-                        )
-                        self._conductance_for = speeds
-                    offsets = self._coupling_apply(
-                        (self._state_cpu_w + self._state_fan_w) / self._conductance
-                    )
-                self._last_offsets = offsets
-                ambient = self._room + offsets
-                self._inlet_sums += ambient
-                if clock is not None:
-                    clock.lap("coupling")
-            die, hs, cpu_w = plant.advance(ambient, applied[:, c])
-            # No copies: apply_fan_speed detaches these arrays before
-            # mutating them (BatchThermalPlant.snapshot_fan_state).
-            fan_w = plant.fan_w
-            t = times[j + c]
-            dt_energy = t - self._energy_last_t
-            self._cpu_j += 0.5 * (self._state_cpu_w + cpu_w) * dt_energy
-            self._fan_j += 0.5 * (self._state_fan_w + fan_w) * dt_energy
-            self._energy_last_t = t
-            self._state_fan_speed = plant.clamped_speed
-            self._state_cpu_w = cpu_w
-            self._state_fan_w = fan_w
-            die_rows.append(die)
-            hs_rows.append(hs)
+        w = e - j
+        socket_w, cpu_w = plant.power(np.ascontiguousarray(applied.T))
+        fan_w = plant.fan_w
+        if self._coupled:
             if clock is not None:
                 clock.lap("plant")
+            ambient = self._window_inlets(cpu_w, fan_w)
+            self._last_ambient = ambient[-1]
+            if clock is not None:
+                clock.lap("coupling")
+        else:
+            ambient = self._last_ambient = self._ambient_const
+        die_rows, hs_rows = plant.advance(ambient, socket_w)
+
+        # Trapezoid energy: row c pairs step c's powers with the step
+        # before (row 0 with the lagged mirrors); row 0 of each fold
+        # holds the running total.
+        dts = np.empty((w, 1))
+        dts[0] = times[j] - self._energy_last_t
+        np.subtract(times_arr[j + 1 : e], times_arr[j : e - 1], out=dts[1:, 0])
+        cpu_terms = np.empty((w + 1, self._n))
+        cpu_terms[0] = self._cpu_j
+        pair = cpu_terms[1:]
+        pair[0] = self._state_cpu_w
+        pair[1:] = cpu_w[:-1]
+        pair += cpu_w
+        pair *= 0.5
+        pair *= dts
+        self._cpu_j = np.add.accumulate(cpu_terms)[-1]
+        fan_terms = np.empty((w + 1, self._n))
+        fan_terms[0] = self._fan_j
+        fan_terms[1] = 0.5 * (self._state_fan_w + fan_w) * dts[0]
+        np.multiply(0.5 * (fan_w + fan_w), dts[1:], out=fan_terms[2:])
+        self._fan_j = np.add.accumulate(fan_terms)[-1]
+        self._energy_last_t = times[e - 1]
+
+        # No copies: apply_fan_speed detaches fan_w/clamped_speed before
+        # mutating them (BatchThermalPlant.snapshot_fan_state), and the
+        # window buffers are never written again.
+        self._state_fan_speed = plant.clamped_speed
+        self._state_cpu_w = cpu_w[-1]
+        self._state_fan_w = fan_w
         self._last_applied = applied[:, -1]
-        self._last_ambient = ambient
+        if clock is not None:
+            clock.lap("plant")
         return die_rows, hs_rows
+
+    def _window_inlets(self, cpu_w: np.ndarray, fan_w: np.ndarray) -> np.ndarray:
+        """Inlet ambients for a window's ``(w, B)`` CPU power rows.
+
+        Exhaust of step k feeds inlets at step k+1: row 0 of the rises
+        reads the lagged plant-state mirrors, later rows the frozen fan
+        power and the feed-forward CPU power - the values the per-step
+        mirror updates would hold.  Offsets take one
+        :meth:`~repro.fleet.coupling.CouplingOperator.apply` per row (a
+        gemm column is not bitwise a gemv, and a dynamic operator
+        advances once per step).  Folds the rows into the inlet sums.
+        """
+        w, n = cpu_w.shape
+        # Row 0 of the fold holds the running inlet sums.
+        sums = np.empty((w + 1, n))
+        sums[0] = self._inlet_sums
+        ambient = sums[1:]
+        if self._decoupled:
+            self._last_offsets = self._zero_offsets
+            ambient[:] = self._room + self._zero_offsets
+        else:
+            rises = np.empty((w, n))
+            np.divide(
+                self._state_cpu_w + self._state_fan_w,
+                self._exhaust_conductance(self._state_fan_speed),
+                out=rises[0],
+            )
+            np.divide(
+                cpu_w[:-1] + fan_w,
+                self._exhaust_conductance(self._plant.clamped_speed),
+                out=rises[1:],
+            )
+            apply = self._coupling_apply
+            offsets = [apply(row) for row in rises]
+            np.add(self._room, offsets, out=ambient)
+            self._last_offsets = offsets[-1]
+        self._inlet_sums = np.add.accumulate(sums)[-1]
+        return ambient
+
+    def _exhaust_conductance(self, speeds: np.ndarray) -> np.ndarray:
+        """Exhaust conductance at a fan-speed array.
+
+        It depends only on the speeds, and a speed array is replaced
+        (never mutated) on fan changes, so the last result is cached
+        keyed on array identity.
+        """
+        if self._conductance_for is not speeds:
+            self._conductance = np.maximum(
+                self._g_floor, self._g_max * speeds / self._v_max_exh
+            )
+            self._conductance_for = speeds
+        return self._conductance
 
     def _refresh_faulted_plants(self, servers: Sequence[int], t: float) -> None:
         """Re-derive plant coefficients for servers whose faults stepped.

@@ -3,11 +3,15 @@
 :class:`BatchThermalPlant` is the array form of B
 :class:`~repro.thermal.server.ServerThermalModel` plants: the same
 exact-exponential die/heat-sink update (Eqns 2-3) evaluated
-element-wise, bit-identical to the scalar plants.  The batch simulation
+element-wise, bit-identical to the scalar plants.  Fan levels change
+only at decisions, so the plant advances a whole window of frozen
+coefficients per call: the caller hands :meth:`BatchThermalPlant.advance`
+one row of socket power and ambient per step and gets one row of
+junction and heat-sink temperatures back.  The batch simulation
 backends (:mod:`repro.sim.batch`, :mod:`repro.sim.fused`) step it with
 their sensing and control layers; the Ziegler-Nichols tuner
 (:mod:`repro.core.tuning`) runs every gain candidate of a search round as
-one row of it.
+one row of it, one fan-decision window per call.
 """
 
 from __future__ import annotations
@@ -43,20 +47,24 @@ class BatchThermalPlant:
         self.p_dynamic = np.array([c.cpu.p_dynamic_w for c in configs])
         self.n_sockets = np.array([float(c.n_sockets) for c in configs])
         self.r_die = np.array([c.die.r_die_k_per_w for c in configs])
+        # Decay factors as one (2, B) array, heat sink then die, so that
+        # advance steps both nodes in one stacked update; hs_decay and
+        # die_decay are its rows.
+        self._decay = np.zeros((2, n))
+        self.hs_decay = self._decay[0]
+        self.die_decay = self._decay[1]
         # Die decay: reproduce CpuDie's derived capacitance (tau / R) so
         # R*C matches the scalar node to the last ulp.
-        self.die_decay = np.array(
-            [
-                math.exp(
-                    -dt_s
-                    / (
-                        c.die.r_die_k_per_w
-                        * (c.die.time_constant_s / c.die.r_die_k_per_w)
-                    )
+        self.die_decay[:] = [
+            math.exp(
+                -dt_s
+                / (
+                    c.die.r_die_k_per_w
+                    * (c.die.time_constant_s / c.die.r_die_k_per_w)
                 )
-                for c in configs
-            ]
-        )
+            )
+            for c in configs
+        ]
         self._n_sockets_f = [float(c.n_sockets) for c in configs]
         self._hs_capacitance = [
             float(p.heatsink.capacitance_j_per_k) for p in plants
@@ -76,7 +84,6 @@ class BatchThermalPlant:
             {} for _ in range(n)
         ]
         self.r_hs = np.zeros(n)
-        self.hs_decay = np.zeros(n)
         self.fan_w = np.zeros(n)
         self.clamped_speed = np.zeros(n)
         # Monotonic coefficient-change counter.  The coefficient arrays
@@ -146,22 +153,68 @@ class BatchThermalPlant:
         self.fan_w = self.fan_w.copy()
         self.clamped_speed = self.clamped_speed.copy()
 
-    def advance(
-        self, ambient_c: np.ndarray, applied_util: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One exact-exponential step for all servers.
+    def power(self, applied_util: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Socket and CPU power for ``(w, B)`` applied utilizations.
 
-        Returns ``(junction, heatsink, cpu_power)`` arrays; fan power is
-        exposed as :attr:`fan_w` (it only changes with the fan level).
+        Returns ``(socket_w, cpu_w)`` in the input's shape, one row per
+        step.  Fan power is exposed as :attr:`fan_w` (it only changes
+        with the fan level).
         """
-        socket_power = self.p_static + self.p_dynamic * applied_util
-        hs_ss = ambient_c + self.r_hs * socket_power
-        hs = hs_ss + (self.hs_temp - hs_ss) * self.hs_decay
-        die_ss = hs + self.r_die * socket_power
-        die = die_ss + (self.die_temp - die_ss) * self.die_decay
-        self.hs_temp = hs
-        self.die_temp = die
-        return die, hs, socket_power * self.n_sockets
+        socket_w = self.p_static + self.p_dynamic * applied_util
+        return socket_w, socket_w * self.n_sockets
+
+    def advance(
+        self, ambient_c: np.ndarray, socket_w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-exponential steps over a window of ``w`` steps.
+
+        ``socket_w`` holds one ``(B,)`` row of socket power per step (see
+        :meth:`power`) and ``ambient_c`` the matching ambient rows, or one
+        ``(B,)`` row for every step.  The plant coefficients are frozen
+        over the window.  Returns the ``(w, B)`` junction and heat-sink
+        rows.
+
+        Every element runs the scalar node's operations in its order:
+        ``ss = ambient + r_hs * P`` and ``ss_die = hs + r_die * P``, then
+        ``x = ss + (x - ss) * decay``.  The heat-sink steady states are
+        built for the whole window up front; the die's rides on the new
+        heat-sink temperature, so the die runs one step behind the heat
+        sink in one stacked ``(2, B)`` update per step.
+        """
+        w, n = socket_w.shape
+        # x[r] = (heat sink after r steps, die after r - 1 steps) and
+        # ss[r] = the steady states that advance x[r] to x[r + 1].
+        x = np.empty((w + 2, 2, n))
+        ss = np.empty((w + 1, 2, n))
+        hs_ss = ss[:w, 0]
+        np.multiply(self.r_hs, socket_w, out=hs_ss)
+        np.add(ambient_c, hs_ss, out=hs_ss)
+        die_rise = list(self.r_die * socket_w)
+        x[0, 0] = self.hs_temp
+        x[1, 1] = self.die_temp
+        xs, x_hs, ss_die = list(x), list(x[:, 0]), list(ss[:, 1])
+        # First step: the heat sink alone.
+        s, nxt = hs_ss[0], x_hs[1]
+        np.subtract(x_hs[0], s, out=nxt)
+        nxt *= self.hs_decay
+        np.add(s, nxt, out=nxt)
+        decay = self._decay
+        for hs, rise, s_die, s, cur, nxt in zip(
+            x_hs[1:w], die_rise, ss_die[1:w], list(ss[1:w]), xs[1:w], xs[2:]
+        ):
+            np.add(hs, rise, out=s_die)
+            np.subtract(cur, s, out=nxt)
+            nxt *= decay
+            np.add(s, nxt, out=nxt)
+        # Last step: the die alone.
+        s, nxt = ss_die[w], x[w + 1, 1]
+        np.add(x_hs[w], die_rise[w - 1], out=s)
+        np.subtract(x[w, 1], s, out=nxt)
+        nxt *= self.die_decay
+        np.add(s, nxt, out=nxt)
+        self.hs_temp = x_hs[w]
+        self.die_temp = nxt
+        return x[2:, 1], x[1 : w + 1, 0]
 
     def check_finite(self) -> None:
         """Raise if the thermal state has diverged.

@@ -20,7 +20,8 @@ controllers under a dropout, and at the sensing layer alone, where a
 ``BatchSensorBank`` over mixed lags, LSBs, intervals, noise and sensor
 faults must read what one scalar sensor per row reads; the
 deterministic tests pin every scheme on the array lane (zero
-controller fallbacks), scalar-resume-after-fused sync-back, and
+controller fallbacks), six simulated hours of a faulted rack across
+dozens of demand chunks, scalar-resume-after-fused sync-back, and
 divergence detection on both array lanes.
 """
 
@@ -34,15 +35,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import FleetConfig, RoomConfig, SensingConfig
+from repro.config import FleetConfig, RoomConfig, SensingConfig, ServerConfig
 from repro.core.global_controller import GlobalController
 from repro.errors import ThermalModelError
 from repro.faults.events import SENSOR_FAULTS, FaultEvent, FaultSchedule
 from repro.faults.states import SensorFaultState
 from repro.fleet import FleetSimulator, Rack, build_fleet_scenario, homogeneous_rack
+from repro.obs import MonitorConfig, ObsConfig
 from repro.room import RoomSimulator, uniform_room
 from repro.sensing.sensor import TemperatureSensor
-from repro.sim.batch import BatchSensorBank
+from repro.sim.batch import _CHUNK_STEPS, BatchSensorBank
 from repro.workload.base import Workload
 
 _DT = 0.1
@@ -325,6 +327,72 @@ class TestMixedRackUnderFaults:
         )
         assert vectorized.extras["faults"]["failsafe"]["engagements"] >= 1
         assert_tier_a(results["scalar"], vectorized)
+
+
+class TestLongHorizonUnderFaults:
+    """Tier A over six simulated hours: a faulted two-server rack (a
+    sensor dropout that engages the failsafe, fouling, a seized fan and
+    a stuck sensor) on a 2 s CPU period at dt = 0.2 s, so every window
+    is ten steps wide and the run crosses 26 demand chunks."""
+
+    HORIZON_S = 6 * 3600.0
+    DT_S = 0.2
+
+    def _run(self, backend):
+        n = 2
+        config = ServerConfig().with_control(cpu_interval_s=2.0)
+        faults = FaultSchedule(
+            events=(
+                FaultEvent("dropout", server=0, start_s=3600.0, duration_s=900.0),
+                FaultEvent(
+                    "fouling", server=1, start_s=7200.0, duration_s=3600.0,
+                    magnitude=0.3,
+                ),
+                FaultEvent("fan_seize", server=1, start_s=12000.0, duration_s=1200.0),
+                FaultEvent("stuck", server=0, start_s=16000.0, duration_s=900.0),
+            ),
+            seed=3,
+        )
+        rack = build_fleet_scenario(
+            "staggered_waves",
+            n_servers=n,
+            duration_s=self.HORIZON_S,
+            seed=5,
+            fleet=FleetConfig(n_servers=n, recirc_fraction=0.3),
+            config=config,
+        )
+        sim = FleetSimulator(
+            rack,
+            dt_s=self.DT_S,
+            record_decimation=50,
+            backend=backend,
+            faults=faults,
+            obs=ObsConfig(trace=False, monitor=MonitorConfig()),
+        )
+        result = sim.run(self.HORIZON_S)
+        assert result.extras["backend"] == backend
+        return result
+
+    def test_six_hours_bit_for_bit(self):
+        steps = round(self.HORIZON_S / self.DT_S)
+        assert steps > 24 * _CHUNK_STEPS
+        scalar, vectorized, fused = (
+            self._run(backend) for backend in ("scalar", "vectorized", "fused")
+        )
+        assert vectorized.extras["faults"]["failsafe"]["engagements"] == 1
+        assert_tier_a(scalar, vectorized)
+        for i in range(vectorized.n_servers):
+            assert scalar.server(i).energy == vectorized.server(i).energy
+            for name in EXACT_CHANNELS:
+                assert np.array_equal(
+                    vectorized.server(i).channels[name],
+                    fused.server(i).channels[name],
+                    equal_nan=True,
+                ), f"fused: server {i} decision channel {name} diverged"
+        incidents = vectorized.extras["obs"]["incidents"]
+        assert incidents
+        assert scalar.extras["obs"]["incidents"] == incidents
+        assert fused.extras["obs"]["incidents"] == incidents
 
 
 class TestScalarResumeAfterFused:

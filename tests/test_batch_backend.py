@@ -5,15 +5,25 @@ path for every stock configuration: it runs the same floating-point
 operations in the same order, element-wise.  These tests pin that
 contract across all four rack scenario builders, a seeded parameter
 sweep, a decoupled rack against independent single-server runs, and the
-heterogeneous-structure fallback.
+heterogeneous-structure fallback.  At the layer below, the window-wide
+exact scan is pinned against the per-step loop it replaced, for every
+coupling kind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.config import FleetConfig, SensingConfig, ServerConfig
+from repro.config import (
+    CRACConfig,
+    FleetConfig,
+    RoomConfig,
+    SensingConfig,
+    ServerConfig,
+)
 from repro.errors import SimulationError
 from repro.fleet import (
     FleetSimulator,
@@ -24,7 +34,7 @@ from repro.fleet import (
 )
 from repro.fleet.rack import ServerSlot
 from repro.fleet.scenarios import _SEED_STRIDE
-from repro.room import Room, RoomSimulator
+from repro.room import Room, RoomSimulator, uniform_room
 from repro.sensing.noise import GaussianNoise
 from repro.sensing.sensor import TemperatureSensor
 from repro.sim import (
@@ -444,3 +454,212 @@ class TestDemandArrayEquivalence:
         array_wl = factory()
         expected = np.array([scalar_wl.demand(float(t)) for t in times])
         assert np.array_equal(array_wl.demand_array(times), expected)
+
+
+# ---------------------------------------------------------------------------
+# Layer pin: the window-wide exact scan against the per-step loop.
+
+_PIN_KINDS = ("uncoupled", "dense", "sparse", "dynamic", "decoupled")
+#: Fan commands the pin draws between windows; 20000 rpm clamps to max.
+_PIN_SPEEDS = (1500.0, 2000.0, 3500.0, 5000.0, 8000.0, 20000.0)
+
+
+def _pin_stepper(kind: str) -> BatchStepper:
+    """A fresh, deterministic stepper whose coupling is of ``kind``."""
+    if kind == "uncoupled":
+        pieces = [_sweep_pieces(lag) for lag in (0.0, 5.0, 10.0, 20.0)]
+        plants, sensors, workloads, controllers = zip(*pieces)
+        return BatchStepper(
+            plants, sensors, workloads, controllers, n_steps=10_000, dt_s=_DT
+        )
+    if kind in ("dense", "decoupled"):
+        rack = _scenario_rack(
+            "hot_spot", recirc=0.3 if kind == "dense" else 0.0
+        )
+        slots, coupling, exhaust = list(rack), rack.coupling, rack.exhaust
+    else:
+        cfg = RoomConfig(
+            n_rows=1,
+            racks_per_row=2,
+            servers_per_rack=3,
+            crac=CRACConfig(
+                supply_time_constant_s=30.0 if kind == "dynamic" else 0.0
+            ),
+        )
+        room = uniform_room(
+            cfg, duration_s=_DUR, seed=4, forcing_units=(0,) if kind == "dynamic" else ()
+        )
+        slots, coupling, exhaust = room.slots, room.coupling, room.exhaust
+        assert coupling.is_dynamic == (kind == "dynamic")
+        coupling.prepare_run(_DT)
+    assert coupling.is_decoupled == (kind == "decoupled")
+    return BatchStepper(
+        [s.plant for s in slots],
+        [s.sensor for s in slots],
+        [s.workload for s in slots],
+        [s.controller for s in slots],
+        n_steps=10_000,
+        dt_s=_DT,
+        coupling=coupling,
+        exhaust=exhaust,
+    )
+
+
+def _plant_step(plant, ambient, util):
+    """One ``(B,)`` exact-exponential step of the batch plant."""
+    socket_power = plant.p_static + plant.p_dynamic * util
+    hs_ss = ambient + plant.r_hs * socket_power
+    hs = hs_ss + (plant.hs_temp - hs_ss) * plant.hs_decay
+    die_ss = hs + plant.r_die * socket_power
+    die = die_ss + (plant.die_temp - die_ss) * plant.die_decay
+    plant.hs_temp = hs
+    plant.die_temp = die
+    return die, hs, socket_power * plant.n_sockets
+
+
+def _per_step_window(stepper, j, e, applied, times):
+    """The exact scan step by step: coupling, one plant step, the
+    trapezoid energy update and the inlet sum per step."""
+    plant = stepper._plant
+    ambient = None if stepper._coupled else stepper._ambient_const
+    die_rows, hs_rows = [], []
+    for c in range(e - j):
+        if stepper._coupled:
+            offsets = stepper._zero_offsets
+            if not stepper._decoupled:
+                conductance = np.maximum(
+                    stepper._g_floor,
+                    stepper._g_max * stepper._state_fan_speed / stepper._v_max_exh,
+                )
+                offsets = stepper._coupling.apply(
+                    (stepper._state_cpu_w + stepper._state_fan_w) / conductance
+                )
+            stepper._last_offsets = offsets
+            ambient = stepper._room + offsets
+            stepper._inlet_sums += ambient
+        die, hs, cpu_w = _plant_step(plant, ambient, applied[:, c])
+        fan_w = plant.fan_w
+        t = times[j + c]
+        dt_energy = t - stepper._energy_last_t
+        stepper._cpu_j += 0.5 * (stepper._state_cpu_w + cpu_w) * dt_energy
+        stepper._fan_j += 0.5 * (stepper._state_fan_w + fan_w) * dt_energy
+        stepper._energy_last_t = t
+        stepper._state_fan_speed = plant.clamped_speed
+        stepper._state_cpu_w = cpu_w
+        stepper._state_fan_w = fan_w
+        die_rows.append(die)
+        hs_rows.append(hs)
+    stepper._last_applied = applied[:, -1]
+    stepper._last_ambient = ambient
+    return np.array(die_rows), np.array(hs_rows)
+
+
+def _bits(values) -> bytes:
+    """Raw float64 bytes: NaN payloads and the sign of zero count."""
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def _pin_windows(draw):
+    windows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        windows.append(
+            {
+                "width": draw(st.integers(min_value=1, max_value=64)),
+                "seed": draw(st.integers(min_value=0, max_value=2**16)),
+                "special": draw(st.sampled_from([None, "negzero", "nan"])),
+                "fans": draw(
+                    st.lists(
+                        st.tuples(
+                            st.integers(min_value=0, max_value=5),
+                            st.sampled_from(_PIN_SPEEDS),
+                        ),
+                        max_size=3,
+                    )
+                ),
+                "fouling": draw(
+                    st.none()
+                    | st.tuples(
+                        st.integers(min_value=0, max_value=5),
+                        st.sampled_from([0.0, 0.05, 0.3]),
+                    )
+                ),
+            }
+        )
+    return {
+        "windows": windows,
+        "room": draw(st.sampled_from(["as_built", "negzero", "nan"])),
+    }
+
+
+class TestWindowScanPin:
+    """The vectorized lane's window-wide scan is the per-step exact scan,
+    bit for bit: every junction and heat-sink row, the energy and inlet
+    folds, and the lagged plant-state mirrors, across coupling kinds,
+    window widths, special values and fan/fouling changes between
+    windows."""
+
+    @pytest.mark.parametrize("kind", _PIN_KINDS)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_pin_windows())
+    def test_window_scan_matches_per_step_loop(self, kind, case):
+        window, reference = _pin_stepper(kind), _pin_stepper(kind)
+        n = window.n_servers
+        for stepper in (window, reference):
+            # Special inlet values run through both paths: -0.0 keeps its
+            # sign only if nothing adds a +0.0 the loop did not.
+            base = stepper._room if stepper._coupled else stepper._ambient_const
+            if case["room"] == "negzero":
+                base[::2] = -0.0
+            elif case["room"] == "nan":
+                base[n - 1] = np.nan
+        total = sum(spec["width"] for spec in case["windows"])
+        times = [(k + 1) * _DT for k in range(total)]
+        times_arr = np.array(times)
+        j = 0
+        for spec in case["windows"]:
+            e = j + spec["width"]
+            rng = np.random.default_rng(spec["seed"])
+            applied = rng.random((n, e - j))
+            if spec["special"] == "negzero":
+                applied[rng.random(applied.shape) < 0.3] = -0.0
+            elif spec["special"] == "nan":
+                applied[rng.integers(n), rng.integers(e - j)] = np.nan
+            got = window._advance_window(j, e, applied, times, times_arr, None)
+            expected = _per_step_window(reference, j, e, applied, times)
+            for name, a, b in zip(("junction", "heatsink"), got, expected):
+                assert _bits(a) == _bits(b), f"{kind}: {name} rows, window {j}:{e}"
+            for attr in (
+                "_cpu_j",
+                "_fan_j",
+                "_energy_last_t",
+                "_state_fan_speed",
+                "_state_cpu_w",
+                "_state_fan_w",
+                "_last_applied",
+                "_last_ambient",
+            ) + (("_inlet_sums", "_last_offsets") if window._coupled else ()):
+                assert _bits(getattr(window, attr)) == _bits(
+                    getattr(reference, attr)
+                ), f"{kind}: {attr} after window {j}:{e}"
+            for attr in ("hs_temp", "die_temp"):
+                assert _bits(getattr(window._plant, attr)) == _bits(
+                    getattr(reference._plant, attr)
+                ), f"{kind}: plant {attr} after window {j}:{e}"
+
+            # Decisions between windows: new fan levels and fouling,
+            # copy-on-write as the kernel applies them.
+            for stepper in (window, reference):
+                plant = stepper._plant
+                plant.snapshot_fan_state()
+                for i, speed in spec["fans"]:
+                    plant.apply_fan_speed(i % n, speed)
+                if spec["fouling"] is not None:
+                    i, level = spec["fouling"]
+                    plant.set_fouling(i % n, level)
+                    plant.apply_fan_speed(i % n, float(plant.clamped_speed[i % n]))
+            j = e
