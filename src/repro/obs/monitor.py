@@ -346,7 +346,9 @@ class HealthMonitor:
         """
         self._sample_rows(t, ((i, tmeas_c, fan_cmd_rpm, applied_util),))
 
-    def _sample_rows(self, t: float, rows) -> None:
+    def _sample_rows(
+        self, t: float, rows: Iterable[tuple[int, float, float, float]]
+    ) -> None:
         """The per-server detectors over ``(server, tmeas, fan, util)`` rows.
 
         Rows run in the order given.  This is the subsystem's hot path

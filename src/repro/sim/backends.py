@@ -110,9 +110,11 @@ def exp_scan_numpy(
     cancels.
     """
     n, w = forcing.shape
+    # np.add.accumulate is the cumulative sum np.cumsum computes, without
+    # np.cumsum's wrapper, which costs about 40% of a (16, 10) block's sum.
     if w <= span:
         # Single block (the per-control-window common case).
-        c = np.cumsum(forcing * geom[:, :w], axis=1)
+        c = np.add.accumulate(forcing * geom[:, :w], axis=1)
         np.multiply(powers[:, :w], c, out=c)
         c += powers[:, 1 : w + 1] * x0[:, None]
         return c
@@ -122,7 +124,7 @@ def exp_scan_numpy(
     while lo < w:
         hi = min(w, lo + span)
         wb = hi - lo
-        c = np.cumsum(forcing[:, lo:hi] * geom[:, :wb], axis=1)
+        c = np.add.accumulate(forcing[:, lo:hi] * geom[:, :wb], axis=1)
         block = out[:, lo:hi]
         np.multiply(powers[:, :wb], c, out=block)
         block += powers[:, 1 : wb + 1] * x[:, None]

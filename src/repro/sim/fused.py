@@ -4,11 +4,12 @@ Both array lanes run :class:`~repro.sim.batch.BatchStepper`'s window
 kernel.  Between control decisions the closed loop is *open*: fan
 levels, CPU caps, exhaust conductances and plant coefficients are all
 frozen, demand is precomputed, and ``applied = min(demand, cap)`` makes
-the plant forcing feed-forward.  The vectorized lane still steps such a
-window one ``dt`` at a time; :class:`FusedStepper` advances it as a
-handful of ``(B, w)`` matrix ops:
+the plant forcing feed-forward.  The vectorized lane still steps the
+recurrence of such a window one ``dt`` at a time and applies the
+coupling once per step; :class:`FusedStepper` advances it as a handful
+of ``(B, w)`` matrix ops:
 
-* the whole window's socket and CPU power as two broadcasts,
+* the whole window's socket and CPU power as two products,
 * exhaust rises as one matrix (column 0 carries the one-step-lagged
   plant-state mirrors, exactly like the per-dt lane) pushed through
   :meth:`~repro.fleet.coupling.CouplingOperator.apply_window` - for
@@ -90,9 +91,11 @@ class FusedStepper(BatchStepper):
         plant = self._plant
         n, w = applied.shape
         # Feed-forward trajectories: cap and fan are frozen, so the
-        # whole window's power profile is two broadcasts.  The
+        # whole window's power profile is two products.  The
         # plant-coefficient column views are cached per plant version
-        # (fan/fouling changes rebuild them).
+        # (fan/fouling changes rebuild them), and repeated across the
+        # window per width: same-shape products cost less than ``(B,
+        # 1)`` broadcasts and give the same floats.
         if self._coeff_version != plant.version:
             self._coeff_version = plant.version
             self._coeff_cache.clear()
@@ -103,7 +106,12 @@ class FusedStepper(BatchStepper):
                 plant.r_hs[:, None],
                 plant.r_die[:, None],
             )
-        p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c = self._cols
+        cols = self._coeff_cache.get(("cols", w))
+        if cols is None:
+            cols = self._coeff_cache[("cols", w)] = tuple(
+                np.repeat(col, w, axis=1) for col in self._cols
+            )
+        p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c = cols
         socket_p = p_static_c + p_dynamic_c * applied
         cpu_w = socket_p * n_sockets_c
         if clock is not None:

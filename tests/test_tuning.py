@@ -349,7 +349,9 @@ class TestLockstepMatchesSequential:
         assert np.array_equal(errors, ref_errors)
 
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_rows_bit_identical(self, quantized):
+    # 317.5 s ends between fan decisions: a last window with no decision.
+    @pytest.mark.parametrize("duration_s", [300.0, 317.5])
+    def test_rows_bit_identical(self, quantized, duration_s):
         """Rows of mixed operating points and gains share one run."""
         config = _ladder_config(5.0, 1.0)
         rows = [(2000.0, 150.0), (6000.0, 2400.0), (2000.0, 1800.0), (6000.0, 90.0)]
@@ -358,7 +360,7 @@ class TestLockstepMatchesSequential:
             [speed for speed, _ in rows],
             [kp for _, kp in rows],
             0.4,
-            duration_s=300.0,
+            duration_s=duration_s,
             dt_s=0.5,
             perturbation_c=3.0,
             quantized=quantized,
@@ -368,7 +370,7 @@ class TestLockstepMatchesSequential:
                 config,
                 kp,
                 speed,
-                duration_s=300.0,
+                duration_s=duration_s,
                 dt_s=0.5,
                 perturbation_c=3.0,
                 quantized=quantized,
