@@ -249,6 +249,25 @@ class TestDetectorUnits:
         mon.sample_server(105.0, 0, math.nan, 1000.0, 0.5)
         assert all(i["clear_s"] is not None for i in mon.incidents)
 
+    def test_drift_rearms_after_nan_reading(self):
+        """A NaN sample clears drift and drops its EWMAs; the next finite
+        reading re-seeds them, so a drift that goes on fires again."""
+        cfg = MonitorConfig(
+            drift_residual_c=1.0, drift_dwell_s=20.0, drift_warmup_s=0.0,
+            sample_every_s=5.0,
+        )
+        mon = _monitor(config=cfg)
+        t, reading = 0.0, 60.0
+        for k in range(40):
+            t += 5.0
+            reading += 0.15 * 5.0
+            mon.sample_server(t, 0, math.nan if k == 10 else reading, 1000.0, 0.3)
+        drift = [i for i in mon.incidents if i["detector"] == "sensor_drift"]
+        assert [(i["onset_s"], i["clear_s"]) for i in drift] == [
+            (40.0, 55.0),
+            (95.0, None),
+        ]
+
     def test_drift_fires_after_dwell_and_respects_warmup(self):
         cfg = MonitorConfig(
             drift_residual_c=1.0, drift_dwell_s=20.0, drift_warmup_s=100.0,
