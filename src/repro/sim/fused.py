@@ -127,24 +127,8 @@ class FusedStepper(BatchStepper):
                 self._last_offsets = self._zero_offsets
                 ambient = np.broadcast_to(self._room_col, (n, w))
             else:
-                speeds_old = self._state_fan_speed
-                if self._conductance_for is not speeds_old:
-                    self._conductance = np.maximum(
-                        self._g_floor,
-                        self._g_max * speeds_old / self._v_max_exh,
-                    )
-                    self._conductance_for = speeds_old
-                g_old = self._conductance
-                speeds_new = plant.clamped_speed
-                if speeds_new is speeds_old:
-                    g_new = g_old
-                else:
-                    g_new = np.maximum(
-                        self._g_floor,
-                        self._g_max * speeds_new / self._v_max_exh,
-                    )
-                    self._conductance = g_new
-                    self._conductance_for = speeds_new
+                g_old = self._exhaust_conductance(self._state_fan_speed)
+                g_new = self._exhaust_conductance(plant.clamped_speed)
                 rises = np.empty((n, w))
                 np.divide(
                     self._state_cpu_w + self._state_fan_w,
