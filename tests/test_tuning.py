@@ -179,6 +179,35 @@ PINNED_SCHEDULES = {
 }
 
 
+def _assert_rows_match_reference(quantized: bool, duration_s: float) -> None:
+    """Lockstep rows of mixed operating points and gains against the
+    scalar reference loop, one experiment per row."""
+    config = _ladder_config(5.0, 1.0)
+    rows = [(2000.0, 150.0), (6000.0, 2400.0), (2000.0, 1800.0), (6000.0, 90.0)]
+    times, errors = _p_only_rows(
+        config,
+        [speed for speed, _ in rows],
+        [kp for _, kp in rows],
+        0.4,
+        duration_s=duration_s,
+        dt_s=0.5,
+        perturbation_c=3.0,
+        quantized=quantized,
+    )
+    for (speed, kp), trace in zip(rows, errors):
+        ref_times, ref_errors = _reference_p_only_loop(
+            config,
+            kp,
+            speed,
+            duration_s=duration_s,
+            dt_s=0.5,
+            perturbation_c=3.0,
+            quantized=quantized,
+        )
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(trace, ref_errors)
+
+
 def _hex_gains(regions) -> tuple:
     return tuple(
         (r.gains.kp.hex(), r.gains.ki.hex(), r.gains.kd.hex()) for r in regions
@@ -349,34 +378,15 @@ class TestLockstepMatchesSequential:
         assert np.array_equal(errors, ref_errors)
 
     @pytest.mark.parametrize("quantized", [False, True])
-    # 317.5 s ends between fan decisions: a last window with no decision.
-    @pytest.mark.parametrize("duration_s", [300.0, 317.5])
-    def test_rows_bit_identical(self, quantized, duration_s):
+    def test_rows_bit_identical(self, quantized):
         """Rows of mixed operating points and gains share one run."""
-        config = _ladder_config(5.0, 1.0)
-        rows = [(2000.0, 150.0), (6000.0, 2400.0), (2000.0, 1800.0), (6000.0, 90.0)]
-        times, errors = _p_only_rows(
-            config,
-            [speed for speed, _ in rows],
-            [kp for _, kp in rows],
-            0.4,
-            duration_s=duration_s,
-            dt_s=0.5,
-            perturbation_c=3.0,
-            quantized=quantized,
-        )
-        for (speed, kp), trace in zip(rows, errors):
-            ref_times, ref_errors = _reference_p_only_loop(
-                config,
-                kp,
-                speed,
-                duration_s=duration_s,
-                dt_s=0.5,
-                perturbation_c=3.0,
-                quantized=quantized,
-            )
-            assert np.array_equal(times, ref_times)
-            assert np.array_equal(trace, ref_errors)
+        _assert_rows_match_reference(quantized, duration_s=300.0)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_rows_bit_identical_horizon_between_decisions(self, quantized):
+        """A horizon ending between fan decisions leaves a last window
+        with no decision; its rows must match too."""
+        _assert_rows_match_reference(quantized, duration_s=317.5)
 
     @pytest.mark.parametrize(
         ("speed", "quantized"), [(2000.0, False), (6000.0, False), (2000.0, True)]
