@@ -182,6 +182,68 @@ class MonitorConfig:
         _check_nonnegative(self.supply_margin_c, "supply_margin_c")
 
 
+class _ServerDetectors:
+    """One server's detector thresholds and streaming state.
+
+    Slots keep a server's fields in one object, so a sample touches one
+    record per server instead of one list per field.
+    """
+
+    __slots__ = (
+        "scope",
+        "tm_threshold",
+        "tm_open",
+        "fan_threshold",
+        "fan_since",
+        "fan_open",
+        "util_fast",
+        "util_slow",
+        "ring",
+        "pos",
+        "stuck_hold",
+        "stuck_last",
+        "stuck_since",
+        "stuck_umin",
+        "stuck_umax",
+        "stuck_open",
+        "drift_fast",
+        "drift_slow",
+        "drift_since",
+        "drift_open",
+    )
+
+    def __init__(
+        self,
+        *,
+        scope: str,
+        tm_threshold: float,
+        fan_threshold: float,
+        stuck_hold: float,
+        stuck_since: float,
+        ring_depth: int,
+    ) -> None:
+        self.scope = scope
+        self.tm_threshold = tm_threshold
+        self.tm_open: dict | None = None
+        self.fan_threshold = fan_threshold
+        self.fan_since: float | None = None
+        self.fan_open: dict | None = None
+        self.util_fast: float | None = None
+        self.util_slow = 0.0
+        self.ring: list[float | None] = [None] * ring_depth
+        self.pos = 0
+        self.stuck_hold = stuck_hold
+        self.stuck_last: float | None = None
+        self.stuck_since = stuck_since
+        self.stuck_umin = 0.0
+        self.stuck_umax = 0.0
+        self.stuck_open: dict | None = None
+        self.drift_fast: float | None = None
+        self.drift_slow = 0.0
+        self.drift_since: float | None = None
+        self.drift_open: dict | None = None
+
+
 class HealthMonitor:
     """Per-run streaming detector state machine.
 
@@ -222,27 +284,6 @@ class HealthMonitor:
         self.next_due_s = start_s + config.sample_every_s
         self._every = config.sample_every_s
 
-        limit = config.tmeas_limit_c
-        self._tm_threshold = [
-            (limit if limit is not None else limits_c[i]) - config.tmeas_margin_c
-            for i in range(n)
-        ]
-        self._tm_open: list[dict | None] = [None] * n
-
-        self._fan_threshold = [
-            config.fan_sat_fraction * fan_max_rpm[i] for i in range(n)
-        ]
-        self._fan_since: list[float | None] = [None] * n
-        self._fan_open: list[dict | None] = [None] * n
-
-        self._stuck_hold = [
-            config.stuck_periods * fan_interval_s[i] for i in range(n)
-        ]
-        self._stuck_last: list[float | None] = [None] * n
-        self._stuck_since = [start_s] * n
-        self._stuck_umin = [0.0] * n
-        self._stuck_umax = [0.0] * n
-        self._stuck_open: list[dict | None] = [None] * n
         # Lag alignment for the stuck gate: the reading reflects the
         # junction ``lag_s`` ago, so "power moved while frozen" must
         # look at utilization over the *same* delayed horizon - after a
@@ -252,13 +293,22 @@ class HealthMonitor:
         # oldest entry.
         if sensor_lag_s is None:
             sensor_lag_s = [0.0] * n
-        self._util_rings: list[list[float | None]] = []
-        self._util_pos = [0] * n
-        for i in range(n):
-            depth = 1 + max(
-                0, int(math.ceil(sensor_lag_s[i] / config.sample_every_s))
+        limit = config.tmeas_limit_c
+        self._servers = [
+            _ServerDetectors(
+                scope=f"server:{i}",
+                tm_threshold=(
+                    limit if limit is not None else limits_c[i]
+                ) - config.tmeas_margin_c,
+                fan_threshold=config.fan_sat_fraction * fan_max_rpm[i],
+                stuck_hold=config.stuck_periods * fan_interval_s[i],
+                stuck_since=start_s,
+                ring_depth=1 + max(
+                    0, int(math.ceil(sensor_lag_s[i] / config.sample_every_s))
+                ),
             )
-            self._util_rings.append([None] * depth)
+            for i in range(n)
+        ]
 
         # EWMA smoothing factors for one detector sample interval, plus
         # flat copies of the per-sample thresholds: ``sample_server`` is
@@ -271,12 +321,6 @@ class HealthMonitor:
         self._drift_band = config.drift_util_band
         self._drift_thresh = config.drift_residual_c
         self._drift_dwell = config.drift_dwell_s
-        self._drift_fast: list[float | None] = [None] * n
-        self._drift_slow = [0.0] * n
-        self._util_fast: list[float | None] = [None] * n
-        self._util_slow = [0.0] * n
-        self._drift_since: list[float | None] = [None] * n
-        self._drift_open: list[dict | None] = [None] * n
         self._drift_armed_s = start_s + config.drift_warmup_s
 
         # Rack-scope supply checks: (base_supply_c, brownout windows).
@@ -344,89 +388,81 @@ class HealthMonitor:
         Pure float arithmetic on already-produced channel values; the
         batch lanes feed the exact same code via :meth:`ingest_batch`.
         """
-        self._sample_rows(t, ((i, tmeas_c, fan_cmd_rpm, applied_util),))
+        self._sample_rows(
+            t, ((self._servers[i], tmeas_c, fan_cmd_rpm, applied_util),)
+        )
 
     def _sample_rows(
-        self, t: float, rows: Iterable[tuple[int, float, float, float]]
+        self,
+        t: float,
+        rows: Iterable[tuple[_ServerDetectors, float, float, float]],
     ) -> None:
         """The per-server detectors over ``(server, tmeas, fan, util)`` rows.
 
         Rows run in the order given.  This is the subsystem's hot path
-        (every server, every due instant), so the detector state lists
-        are bound to locals once per call, not looked up per server.
+        (every server, every due instant): each server's state sits in
+        one slotted record, and the shared thresholds are bound to
+        locals once per call.
         """
         open_, close = self._open, self._close
-        tm_open, tm_threshold = self._tm_open, self._tm_threshold
-        fan_threshold, fan_since, fan_open = (
-            self._fan_threshold, self._fan_since, self._fan_open
-        )
-        sat_dwell = self._sat_dwell
-        util_fast, util_slow = self._util_fast, self._util_slow
+        sat_dwell, stuck_delta = self._sat_dwell, self._stuck_delta
         alpha_fast, alpha_slow = self._alpha_fast, self._alpha_slow
-        util_rings, util_pos = self._util_rings, self._util_pos
-        stuck_last, stuck_since = self._stuck_last, self._stuck_since
-        stuck_umin, stuck_umax = self._stuck_umin, self._stuck_umax
-        stuck_open, stuck_hold = self._stuck_open, self._stuck_hold
-        stuck_delta = self._stuck_delta
-        drift_fast, drift_slow = self._drift_fast, self._drift_slow
-        drift_since, drift_open = self._drift_since, self._drift_open
         drift_band, drift_thresh = self._drift_band, self._drift_thresh
         drift_dwell, drift_armed_s = self._drift_dwell, self._drift_armed_s
         isfinite, eps = math.isfinite, _EPS
-        for i, tmeas_c, fan_cmd_rpm, applied_util in rows:
+        for s, tmeas_c, fan_cmd_rpm, applied_util in rows:
             finite = isfinite(tmeas_c)
 
             # tmeas margin to the critical limit.
-            inc = tm_open[i]
-            if finite and tmeas_c >= tm_threshold[i]:
+            inc = s.tm_open
+            if finite and tmeas_c >= s.tm_threshold:
                 if inc is None:
-                    tm_open[i] = open_(
-                        "tmeas_margin", "critical", f"server:{i}", t, tmeas_c
+                    s.tm_open = open_(
+                        "tmeas_margin", "critical", s.scope, t, tmeas_c
                     )
             elif inc is not None:
                 close(inc, t)
-                tm_open[i] = None
+                s.tm_open = None
 
             # Fan saturation dwell.
-            if fan_cmd_rpm >= fan_threshold[i]:
-                since = fan_since[i]
+            if fan_cmd_rpm >= s.fan_threshold:
+                since = s.fan_since
                 if since is None:
-                    fan_since[i] = since = t
-                if fan_open[i] is None and t - since + eps >= sat_dwell:
-                    fan_open[i] = open_(
-                        "fan_saturation", "warning", f"server:{i}", t,
-                        fan_cmd_rpm,
+                    s.fan_since = since = t
+                if s.fan_open is None and t - since + eps >= sat_dwell:
+                    s.fan_open = open_(
+                        "fan_saturation", "warning", s.scope, t, fan_cmd_rpm
                     )
             else:
-                fan_since[i] = None
-                inc = fan_open[i]
+                s.fan_since = None
+                inc = s.fan_open
                 if inc is not None:
                     close(inc, t)
-                    fan_open[i] = None
+                    s.fan_open = None
 
             # Utilization EWMAs, shared by the stuck gate (fast) and the
             # drift gate (fast vs slow): thermal inertia filters brief
             # spikes, so detectors reason about *sustained* power
             # movement.
-            uf = util_fast[i]
+            uf = s.util_fast
             if uf is None:
                 uf = us = applied_util
             else:
                 uf = uf + alpha_fast * (applied_util - uf)
-                us = util_slow[i]
+                us = s.util_slow
                 us = us + alpha_slow * (applied_util - us)
-            util_fast[i] = uf
-            util_slow[i] = us
+            s.util_fast = uf
+            s.util_slow = us
             # Circular ring, not append/pop: this runs every sample.
             # During the first ``depth`` samples the slot is still None
             # and the current value stands in - harmless, because the
             # stuck hold (>= one fan period) cannot elapse that early in
             # a run.
-            ring = util_rings[i]
-            pos = util_pos[i]
+            ring = s.ring
+            pos = s.pos
             uf_lag = ring[pos]
             ring[pos] = uf
-            util_pos[i] = (pos + 1) % len(ring)
+            s.pos = (pos + 1) % len(ring)
             if uf_lag is None:
                 uf_lag = uf
 
@@ -445,75 +481,75 @@ class HealthMonitor:
             # transport lag cannot yet show up in a healthy measurement
             # and must not count against it.
             if not finite:
-                stuck_last[i] = None
-                inc = stuck_open[i]
+                s.stuck_last = None
+                inc = s.stuck_open
                 if inc is not None:
                     close(inc, t)
-                    stuck_open[i] = None
-            elif stuck_last[i] is None or tmeas_c != stuck_last[i]:
-                stuck_last[i] = tmeas_c
-                stuck_since[i] = t
-                stuck_umin[i] = uf_lag
-                stuck_umax[i] = uf_lag
-                inc = stuck_open[i]
+                    s.stuck_open = None
+            elif s.stuck_last is None or tmeas_c != s.stuck_last:
+                s.stuck_last = tmeas_c
+                s.stuck_since = t
+                s.stuck_umin = uf_lag
+                s.stuck_umax = uf_lag
+                inc = s.stuck_open
                 if inc is not None:
                     close(inc, t)
-                    stuck_open[i] = None
+                    s.stuck_open = None
             else:
-                if uf_lag < stuck_umin[i]:
-                    stuck_umin[i] = uf_lag
-                if uf_lag > stuck_umax[i]:
-                    stuck_umax[i] = uf_lag
+                if uf_lag < s.stuck_umin:
+                    s.stuck_umin = uf_lag
+                if uf_lag > s.stuck_umax:
+                    s.stuck_umax = uf_lag
                 if (
-                    stuck_open[i] is None
-                    and t - stuck_since[i] + eps >= stuck_hold[i]
-                    and stuck_umax[i] - stuck_umin[i] >= stuck_delta
+                    s.stuck_open is None
+                    and t - s.stuck_since + eps >= s.stuck_hold
+                    and s.stuck_umax - s.stuck_umin >= stuck_delta
                 ):
-                    stuck_open[i] = open_(
-                        "stuck_sensor", "critical", f"server:{i}", t, tmeas_c
+                    s.stuck_open = open_(
+                        "stuck_sensor", "critical", s.scope, t, tmeas_c
                     )
 
             # Drift: fast/slow EWMA residual, gated on steady utilization.
             if not finite:
                 # A NaN sample poisons the EWMAs; reset and let the
                 # watchdog / stuck detector own this failure mode.
-                drift_fast[i] = None
-                drift_since[i] = None
-                inc = drift_open[i]
+                s.drift_fast = None
+                s.drift_since = None
+                inc = s.drift_open
                 if inc is not None:
                     close(inc, t)
-                    drift_open[i] = None
+                    s.drift_open = None
                 continue
-            ef = drift_fast[i]
+            ef = s.drift_fast
             if ef is None:
-                drift_fast[i] = tmeas_c
-                drift_slow[i] = tmeas_c
+                s.drift_fast = tmeas_c
+                s.drift_slow = tmeas_c
                 residual = 0.0
             else:
                 ef = ef + alpha_fast * (tmeas_c - ef)
-                drift_fast[i] = ef
-                es = drift_slow[i]
+                s.drift_fast = ef
+                es = s.drift_slow
                 es = es + alpha_slow * (tmeas_c - es)
-                drift_slow[i] = es
+                s.drift_slow = es
                 residual = ef - es
             if abs(uf - us) <= drift_band and abs(residual) >= drift_thresh:
-                since = drift_since[i]
+                since = s.drift_since
                 if since is None:
-                    drift_since[i] = since = t
+                    s.drift_since = since = t
                 if (
-                    drift_open[i] is None
+                    s.drift_open is None
                     and t >= drift_armed_s
                     and t - since + eps >= drift_dwell
                 ):
-                    drift_open[i] = open_(
-                        "sensor_drift", "warning", f"server:{i}", t, residual
+                    s.drift_open = open_(
+                        "sensor_drift", "warning", s.scope, t, residual
                     )
             else:
-                drift_since[i] = None
-                inc = drift_open[i]
+                s.drift_since = None
+                inc = s.drift_open
                 if inc is not None:
                     close(inc, t)
-                    drift_open[i] = None
+                    s.drift_open = None
 
     def commit(self, t: float) -> None:
         """Finish the sample at *t*: rack checks, then advance the cadence."""
@@ -547,8 +583,7 @@ class HealthMonitor:
         arithmetic is bitwise-identical to the scalar lane.
         """
         self._sample_rows(
-            t,
-            zip(range(self._n), tmeas.tolist(), fan_cmd.tolist(), applied.tolist()),
+            t, zip(self._servers, tmeas.tolist(), fan_cmd.tolist(), applied.tolist())
         )
         self.commit(t)
 
