@@ -50,6 +50,7 @@ identical -- not merely close -- whichever backend produced the run.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -199,7 +200,6 @@ class _ServerDetectors:
         "util_fast",
         "util_slow",
         "ring",
-        "pos",
         "stuck_hold",
         "stuck_last",
         "stuck_since",
@@ -230,8 +230,10 @@ class _ServerDetectors:
         self.fan_open: dict | None = None
         self.util_fast: float | None = None
         self.util_slow = 0.0
-        self.ring: list[float | None] = [None] * ring_depth
-        self.pos = 0
+        # Fast-EWMA history one lag deep, oldest first, seeded with None.
+        self.ring: deque[float | None] = deque(
+            [None] * ring_depth, maxlen=ring_depth
+        )
         self.stuck_hold = stuck_hold
         self.stuck_last: float | None = None
         self.stuck_since = stuck_since
@@ -310,18 +312,20 @@ class HealthMonitor:
             for i in range(n)
         ]
 
-        # EWMA smoothing factors for one detector sample interval, plus
-        # flat copies of the per-sample thresholds: ``sample_server`` is
+        # EWMA smoothing factors for one detector sample interval and
+        # the per-sample thresholds, as one tuple: the detector sweep is
         # the subsystem's hot path (every server, every due instant) and
-        # chained dataclass attribute loads are measurable there.
-        self._alpha_fast = min(1.0, config.sample_every_s / config.drift_tau_fast_s)
-        self._alpha_slow = min(1.0, config.sample_every_s / config.drift_tau_slow_s)
-        self._sat_dwell = config.fan_sat_dwell_s
-        self._stuck_delta = config.stuck_min_util_delta
-        self._drift_band = config.drift_util_band
-        self._drift_thresh = config.drift_residual_c
-        self._drift_dwell = config.drift_dwell_s
-        self._drift_armed_s = start_s + config.drift_warmup_s
+        # binds them all with one unpack.
+        self._sweep_constants = (
+            min(1.0, config.sample_every_s / config.drift_tau_fast_s),
+            min(1.0, config.sample_every_s / config.drift_tau_slow_s),
+            config.fan_sat_dwell_s,
+            config.stuck_min_util_delta,
+            config.drift_util_band,
+            config.drift_residual_c,
+            config.drift_dwell_s,
+            start_s + config.drift_warmup_s,
+        )
 
         # Rack-scope supply checks: (base_supply_c, brownout windows).
         # Windows are (start_s, end_s, magnitude) triples taken from the
@@ -405,10 +409,16 @@ class HealthMonitor:
         locals once per call.
         """
         open_, close = self._open, self._close
-        sat_dwell, stuck_delta = self._sat_dwell, self._stuck_delta
-        alpha_fast, alpha_slow = self._alpha_fast, self._alpha_slow
-        drift_band, drift_thresh = self._drift_band, self._drift_thresh
-        drift_dwell, drift_armed_s = self._drift_dwell, self._drift_armed_s
+        (
+            alpha_fast,
+            alpha_slow,
+            sat_dwell,
+            stuck_delta,
+            drift_band,
+            drift_thresh,
+            drift_dwell,
+            drift_armed_s,
+        ) = self._sweep_constants
         isfinite, eps = math.isfinite, _EPS
         for s, tmeas_c, fan_cmd_rpm, applied_util in rows:
             finite = isfinite(tmeas_c)
@@ -453,18 +463,33 @@ class HealthMonitor:
                 us = us + alpha_slow * (applied_util - us)
             s.util_fast = uf
             s.util_slow = us
-            # Circular ring, not append/pop: this runs every sample.
-            # During the first ``depth`` samples the slot is still None
-            # and the current value stands in - harmless, because the
-            # stuck hold (>= one fan period) cannot elapse that early in
-            # a run.
+            # The ring's oldest entry is the fast EWMA one lag ago.
+            # During the first ``depth`` samples it is still the None
+            # seed and the current value stands in - harmless, because
+            # the stuck hold (>= one fan period) cannot elapse that
+            # early in a run.
             ring = s.ring
-            pos = s.pos
-            uf_lag = ring[pos]
-            ring[pos] = uf
-            s.pos = (pos + 1) % len(ring)
+            uf_lag = ring[0]
+            ring.append(uf)
             if uf_lag is None:
                 uf_lag = uf
+
+            if not finite:
+                # A non-finite reading restarts the stuck tracker, and a
+                # NaN sample would poison the drift EWMAs: reset both
+                # and let the watchdog own this failure mode.
+                s.stuck_last = None
+                inc = s.stuck_open
+                if inc is not None:
+                    close(inc, t)
+                    s.stuck_open = None
+                s.drift_fast = None
+                s.drift_since = None
+                inc = s.drift_open
+                if inc is not None:
+                    close(inc, t)
+                    s.drift_open = None
+                continue
 
             # Stuck-at: reading bit-identical over multiple fan periods
             # while *smoothed* utilization moved.  Exact float equality
@@ -480,13 +505,7 @@ class HealthMonitor:
             # ``lag_s`` earlier, so power that moved within the last
             # transport lag cannot yet show up in a healthy measurement
             # and must not count against it.
-            if not finite:
-                s.stuck_last = None
-                inc = s.stuck_open
-                if inc is not None:
-                    close(inc, t)
-                    s.stuck_open = None
-            elif s.stuck_last is None or tmeas_c != s.stuck_last:
+            if tmeas_c != s.stuck_last:
                 s.stuck_last = tmeas_c
                 s.stuck_since = t
                 s.stuck_umin = uf_lag
@@ -496,9 +515,10 @@ class HealthMonitor:
                     close(inc, t)
                     s.stuck_open = None
             else:
+                # umin <= umax, so at most one bound moves.
                 if uf_lag < s.stuck_umin:
                     s.stuck_umin = uf_lag
-                if uf_lag > s.stuck_umax:
+                elif uf_lag > s.stuck_umax:
                     s.stuck_umax = uf_lag
                 if (
                     s.stuck_open is None
@@ -510,16 +530,6 @@ class HealthMonitor:
                     )
 
             # Drift: fast/slow EWMA residual, gated on steady utilization.
-            if not finite:
-                # A NaN sample poisons the EWMAs; reset and let the
-                # watchdog / stuck detector own this failure mode.
-                s.drift_fast = None
-                s.drift_since = None
-                inc = s.drift_open
-                if inc is not None:
-                    close(inc, t)
-                    s.drift_open = None
-                continue
             ef = s.drift_fast
             if ef is None:
                 s.drift_fast = tmeas_c

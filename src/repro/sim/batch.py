@@ -76,6 +76,7 @@ from repro.sim.result import SimulationResult
 from repro.thermal.ambient import ConstantAmbient, CoupledInlet
 from repro.thermal.batch import BatchThermalPlant
 from repro.thermal.server import ServerState, ServerThermalModel
+from repro.units import check_utilization
 from repro.workload.base import Workload
 from repro.workload.performance import DeadlineTracker
 
@@ -100,6 +101,23 @@ def _advance_due(due: np.ndarray, interval: np.ndarray, t_plus: float) -> np.nda
         if not late.any():
             return due
         due = np.where(late, due + interval, due)
+
+
+def _check_demands(demands: np.ndarray, times: list[float]) -> None:
+    """Raise :class:`~repro.errors.UnitsError` unless demands are utilizations.
+
+    The scalar lane validates each demand as it records it; here one
+    min/max pass covers a chunk (NaN fails both bounds), and only a
+    failing chunk is scanned for its first bad server and time.
+    """
+    if 0.0 <= demands.min() and demands.max() <= 1.0:
+        return
+    bad = ~((demands >= 0.0) & (demands <= 1.0))
+    k = int(np.flatnonzero(bad.any(axis=0))[0])
+    i = int(np.flatnonzero(bad[:, k])[0])
+    check_utilization(
+        float(demands[i, k]), f"server {i} demand at t={times[k]:g} s"
+    )
 
 
 class _PhaseClock:
@@ -624,28 +642,32 @@ class BatchStepper:
             BatchGlobalController([controllers[i] for i in vec]) if vec else None
         )
         # SSfan servers read the tracker bank's recent-degradation signal
-        # each period; the bank only maintains it when asked.
+        # each period.
         self._needs_deg = (
             self._batch_ctrl.needs_degradation
             if self._batch_ctrl is not None
             else False
         )
         self._batch_trackers = (
-            BatchTrackerBank(
-                [self._trackers[i] for i in vec], track_recent=self._needs_deg
-            )
-            if vec
-            else None
+            BatchTrackerBank([self._trackers[i] for i in vec]) if vec else None
         )
-        # Uniform control fast lane: one shared CPU period, every DTM
+        # One shared CPU period: every server is due at every control
+        # instant, and the next instant is one float chain with the
+        # scalar engine's adds, kept in _next_control_min alone (the
+        # per-server _next_control array is then never read).
+        self._shared_period = bool(
+            np.all(self._cpu_interval == self._cpu_interval[0])
+        )
+        self._shared_interval = float(self._cpu_interval[0])
+        # Uniform control fast lane: a shared period, every DTM
         # vectorized, and no dropout-capable faults means control steps
         # are always whole-rack and the knob mirrors can alias the
-        # controller arrays (the all-servers step rebinds rather than
-        # mutates them), skipping three copies per decision.
+        # controller arrays (the all-servers step rebinds the fan array
+        # rather than mutating it), skipping three copies per decision.
         self._ctrl_uniform = (
             not self._controller_fallbacks
             and not self._may_dropout
-            and bool(np.all(self._cpu_interval == self._cpu_interval[0]))
+            and self._shared_period
         )
 
         # Plant-state mirrors: the coupling reads them (exhaust of step k
@@ -719,6 +741,7 @@ class BatchStepper:
         demands = np.empty((n, m))
         for i, workload in enumerate(self._workloads):
             demands[i] = workload.demand_array(times_arr)
+        _check_demands(demands, times)
         # Phase timing (repro.obs): the demand precompute is one
         # per-chunk "workload" phase (the scalar engine, which samples
         # demand inline, folds it into "plant"); the rest accumulates in
@@ -794,15 +817,22 @@ class BatchStepper:
                 if ctl and kk == e - 1:
                     if clock is not None:
                         clock.lap("sensing")
-                    if self._ctrl_uniform:
-                        # One shared period: due is always whole-rack.
+                    if self._shared_period:
                         due_idx = self._all_idx
+                        self._control_step(due_idx, t, dem[:, c], applied[:, c])
+                        nxt = self._next_control_min
+                        while nxt <= t_plus:
+                            nxt += self._shared_interval
+                        self._next_control_min = nxt
                     else:
                         due_idx = np.nonzero(self._next_control <= t_plus)[0]
-                    self._control_step(
-                        due_idx, t, t_plus, dem[:, c], applied[:, c]
-                    )
-                    self._next_control_min = float(self._next_control.min())
+                        self._control_step(due_idx, t, dem[:, c], applied[:, c])
+                        self._next_control[due_idx] = _advance_due(
+                            self._next_control[due_idx],
+                            self._cpu_interval[due_idx],
+                            t_plus,
+                        )
+                        self._next_control_min = float(self._next_control.min())
                     if clock is not None:
                         clock.lap("control")
                         ctl_due += due_idx.size
@@ -1001,7 +1031,6 @@ class BatchStepper:
         self,
         fs_idx: np.ndarray,
         t: float,
-        t_plus: float,
         demand: np.ndarray,
     ) -> None:
         """Watchdog override for due servers with invalid telemetry.
@@ -1040,15 +1069,10 @@ class BatchStepper:
             )
             self._fan_cmd[changed] = forced_speeds
 
-        self._next_control[fs_idx] = _advance_due(
-            self._next_control[fs_idx], self._cpu_interval[fs_idx], t_plus
-        )
-
     def _control_step(
         self,
         due_idx: np.ndarray,
         t: float,
-        t_plus: float,
         demand: np.ndarray,
         applied: np.ndarray,
     ) -> None:
@@ -1066,9 +1090,7 @@ class BatchStepper:
         if self._may_dropout:
             finite = np.isfinite(self._sensing.current[due_idx])
             if not finite.all():
-                self._failsafe_control_step(
-                    due_idx[~finite], t, t_plus, demand
-                )
+                self._failsafe_control_step(due_idx[~finite], t, demand)
                 due_idx = due_idx[finite]
                 if not due_idx.size:
                     return
@@ -1079,35 +1101,34 @@ class BatchStepper:
                 for i in engaged:
                     self._watchdog.release(i, t)
         if not self._controller_fallbacks:
-            self._vec_control_step(due_idx, t, t_plus, demand, applied)
+            self._vec_control_step(due_idx, t, demand, applied)
             return
         if self._batch_ctrl is None:
-            self._scalar_control_step(due_idx, t, t_plus, demand, applied)
+            self._scalar_control_step(due_idx, t, demand, applied)
             return
         vec_mask = self._vec_controllers[due_idx]
         vec_due = due_idx[vec_mask]
         if vec_due.size:
-            self._vec_control_step(vec_due, t, t_plus, demand, applied)
+            self._vec_control_step(vec_due, t, demand, applied)
         scalar_due = due_idx[~vec_mask]
         if scalar_due.size:
-            self._scalar_control_step(scalar_due, t, t_plus, demand, applied)
+            self._scalar_control_step(scalar_due, t, demand, applied)
 
     def _vec_control_step(
         self,
         idx: np.ndarray,
         t: float,
-        t_plus: float,
         demand: np.ndarray,
         applied: np.ndarray,
     ) -> None:
         """Vectorized-controller servers: one array op chain per period."""
         ctrl = self._batch_ctrl
         if idx.size == self._n:
-            # Whole-rack fast lane: no index gathers.  The knob mirrors
-            # are *copied* out of the controller: _step_subset (mixed
-            # CPU periods) mutates the controller arrays in place, and an
-            # aliased _fan_cmd would defeat the changed-fan detection
-            # below on those later subset steps.
+            # Whole-rack fast lane: no index gathers.  Off the uniform
+            # lane the knob mirrors are *copied* out of the controller:
+            # subset steps (mixed CPU periods) write the controller
+            # arrays in place, and an aliased _fan_cmd would defeat the
+            # changed-fan detection below on those later subset steps.
             self._batch_trackers.record_all(demand, self._cap)
             if self._needs_deg:
                 ctrl.step_due(
@@ -1126,9 +1147,9 @@ class BatchStepper:
                 if changed.size:
                     self._apply_fan_changes(changed, new_fan[changed], t)
             if self._ctrl_uniform:
-                # Subset steps never happen on this lane, so the
-                # controller arrays are only ever rebound (never written
-                # in place) and the mirrors may alias them directly.
+                # Subset steps never happen on this lane, so the fan
+                # array is only ever rebound (never written in place)
+                # and the mirrors may alias the controller arrays.
                 self._fan_cmd = new_fan
                 self._cap = ctrl.cpu_cap
                 self._t_ref = ctrl.t_ref_c
@@ -1136,9 +1157,6 @@ class BatchStepper:
                 self._fan_cmd = new_fan.copy()
                 self._cap = ctrl.cpu_cap.copy()
                 self._t_ref = ctrl.t_ref_c.copy()
-            self._next_control = _advance_due(
-                self._next_control, self._cpu_interval, t_plus
-            )
         else:
             local = self._vec_pos[idx]
             self._batch_trackers.record(local, demand[idx], self._cap[idx])
@@ -1162,9 +1180,6 @@ class BatchStepper:
             self._fan_cmd[idx] = new_fan
             self._cap[idx] = ctrl.cpu_cap[local]
             self._t_ref[idx] = ctrl.t_ref_c[local]
-            self._next_control[idx] = _advance_due(
-                self._next_control[idx], self._cpu_interval[idx], t_plus
-            )
 
     def _apply_fan_changes(
         self, idx: np.ndarray, speeds: np.ndarray, t: float
@@ -1195,7 +1210,6 @@ class BatchStepper:
         self,
         due_idx: np.ndarray,
         t: float,
-        t_plus: float,
         demand: np.ndarray,
         applied: np.ndarray,
     ) -> None:
@@ -1229,11 +1243,6 @@ class BatchStepper:
             self._fan_cmd[i] = fan
             self._cap[i] = float(state.cpu_cap)
             self._t_ref[i] = self._controllers[i].t_ref_c
-            next_control = float(self._next_control[i])
-            interval = float(self._cpu_interval[i])
-            while next_control <= t_plus:
-                next_control += interval
-            self._next_control[i] = next_control
 
     def mean_inlet_c(self) -> tuple[float, ...]:
         """Per-server mean inlet temperature over the steps taken so far."""

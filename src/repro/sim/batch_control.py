@@ -1,9 +1,7 @@
 """Vectorized DTM backend: B controllers advanced as ``(B,)`` array ops.
 
-PR 2 vectorized the plant and sensing layers but left control scalar, so
-at ``dt = 0.1 s`` the per-server :class:`~repro.core.global_controller.
-GlobalController.step` loop dominated vectorized wall time.  This module
-advances the *common* controller composition for all B servers at once:
+:class:`BatchGlobalController` advances the stock controller composition
+for all B servers at once:
 
 * :class:`~repro.core.fan_controller.AdaptivePIDFanController` (gain
   schedule + Eqn 10 quantization guard + slew limit),
@@ -20,15 +18,34 @@ advances the *common* controller composition for all B servers at once:
 Equivalence with the scalar objects is *structural*: every branch of the
 scalar decision sequence is replayed element-wise with the same
 floating-point operations in the same order, so results agree
-bit-for-bit.  Table II decisions are carried as int8 action codes
-(:data:`ACTION_CODES`), deadzone/guard hold behaviour as boolean masks,
-and the per-server PID/filter state as ``(B,)`` arrays lifted out of the
-scalar objects at construction and written back by :meth:`
-BatchGlobalController.sync_back`, so a scalar run can resume from a
-vectorized one with identical trajectories.
+bit-for-bit.  Per-server PID/filter state lives in arrays lifted out of
+the scalar objects at construction and written back by
+:meth:`BatchGlobalController.sync_back`, so a scalar run can resume from
+a vectorized one with identical trajectories.
 
-With SSfan and E-coord on the array lane, every Table III scheme runs
-vectorized.  Compositions the backend cannot represent - custom
+Each CPU period pays only for work that can change state:
+
+* Stages that only some servers carry keep *compact* state over just
+  those rows: the A-Tref predictors (:class:`_SetpointBank`), the SSfan
+  phase machines (:class:`_SingleStepBank`) and the E-coord
+  coefficients.  A decision gathers a stage's inputs once and scatters
+  ``T_ref`` once.
+* Table II is an int8 lookup (:data:`_TABLE_II`) indexed by the two
+  sign codes, each built from two masks; which knob an action moves is
+  a second lookup, and the action counts take one flat-index add.
+* Quiet periods exit exactly.  With no fan proposal due, E-coord's
+  decision is Table II's cap column minus the cap-downs it refuses below
+  its fan-admission gate (one mask over the batch).  While every SSfan
+  row is INACTIVE and none crosses its threshold, the phase machine is
+  skipped, because the scalar ``apply`` returns the state unchanged.
+  When no fan command moves, :attr:`BatchGlobalController.fan_speed_rpm`
+  is not rebound (it is never written in place on the whole-batch
+  path), so neither the notify-applied clamp nor the caller's
+  fan-change scan runs.
+* :class:`BatchTrackerBank` keeps one right-aligned gap buffer and takes
+  the recent mean as one left fold, in the scalar ``sum`` order.
+
+Compositions the backend cannot represent - custom
 controller/fan/coordinator subclasses, non-stock models - are reported
 by :func:`batch_controller_unsupported_reason`; the
 :class:`~repro.sim.batch.BatchStepper` then drives those servers'
@@ -49,7 +66,11 @@ from repro.core.gain_schedule import GainSchedule
 from repro.core.global_controller import GlobalController
 from repro.core.pid import PIDController, PIDGains
 from repro.core.quantization import QuantizationGuard
-from repro.core.rules import CoordinationAction, RuleBasedCoordinator
+from repro.core.rules import (
+    CoordinationAction,
+    RuleBasedCoordinator,
+    table_ii_action,
+)
 from repro.core.setpoint import AdaptiveSetpoint
 from repro.core.single_step import SingleStepFanScaling, SingleStepPhase
 from repro.core.uncoordinated import UncoordinatedCoordinator
@@ -73,6 +94,21 @@ _FAN_DOWN = ACTION_CODES[CoordinationAction.FAN_DOWN]
 _CAP_UP = ACTION_CODES[CoordinationAction.CAP_UP]
 _CAP_DOWN = ACTION_CODES[CoordinationAction.CAP_DOWN]
 
+#: Table II as an int8 lookup: the action code for fan-delta sign ``ds``
+#: and cap-delta sign ``du`` sits at index ``3 * ds + du``.  The nine
+#: indices span -4..4, and negative ones wrap, so each cell has its own
+#: slot.  Built from the scalar rule itself.
+_TABLE_II = np.zeros(9, dtype=np.int8)
+for _ds in (-1, 0, 1):
+    for _du in (-1, 0, 1):
+        _TABLE_II[3 * _ds + _du] = ACTION_CODES[table_ii_action(_ds, _du)]
+
+#: Which knob each action code moves.
+_MOVES_FAN = np.zeros(len(CODE_TO_ACTION), dtype=bool)
+_MOVES_FAN[[_FAN_UP, _FAN_DOWN]] = True
+_MOVES_CAP = np.zeros(len(CODE_TO_ACTION), dtype=bool)
+_MOVES_CAP[[_CAP_UP, _CAP_DOWN]] = True
+
 #: classify() tolerance (must match repro.core.rules.classify).
 _SIGN_TOL = 1e-9
 
@@ -87,6 +123,10 @@ CODE_TO_SS_PHASE: tuple[SingleStepPhase, ...] = tuple(SingleStepPhase)
 _SS_INACTIVE = SS_PHASE_CODES[SingleStepPhase.INACTIVE]
 _SS_BOOSTED = SS_PHASE_CODES[SingleStepPhase.BOOSTED]
 _SS_REFRACTORY = SS_PHASE_CODES[SingleStepPhase.REFRACTORY]
+
+#: Index for "every row" (a view, where an index array would gather).
+_ALL = slice(None)
+
 
 
 def batch_controller_unsupported_reason(controller: Any) -> str | None:
@@ -156,45 +196,34 @@ class BatchTrackerBank:
     element-wise (same max/compare/add sequence) and restores the scalar
     tracker objects afterwards, sliding window included.
 
-    With ``track_recent=True`` (needed when any vectorized controller
-    carries SSfan) the bank additionally maintains an *append-ordered*
-    gap buffer so :meth:`recent_degradation_all` can replay the scalar
-    tracker's left-to-right ``sum(recent) / len(recent)`` exactly:
-    NumPy's axis reductions use pairwise accumulation, which rounds
-    differently, so the mean is instead built from sequential per-column
-    adds over a right-aligned shift buffer.
+    The sliding window is one right-aligned gap buffer, newest in the
+    last column.  Columns left of a server's window hold exact 0.0, so
+    :meth:`recent_degradation_all` folds every column left to right with
+    one ``np.add.accumulate`` - the scalar ``sum(recent)`` order, with
+    the leading zeros as additive identities for the nonnegative gaps -
+    and divides like ``sum(recent) / len(recent)``, bit for bit.  (An
+    axis ``sum`` would reduce pairwise and round differently.)
     """
 
-    def __init__(
-        self, trackers: Sequence[DeadlineTracker], track_recent: bool = False
-    ) -> None:
+    def __init__(self, trackers: Sequence[DeadlineTracker]) -> None:
         n = len(trackers)
         self._n = n
         self._trackers = list(trackers)
-        self._rows = np.arange(n)
         self._tol = np.array([t.tolerance for t in trackers])
         self._window = np.array([t.window for t in trackers], dtype=np.int64)
-        w_max = int(self._window.max()) if n else 1
-        self._ring = np.zeros((n, w_max))
-        self._head = np.zeros(n, dtype=np.int64)
+        width = int(self._window.max()) if n else 1
+        self._gaps = np.zeros((n, width))
         self._count = np.zeros(n, dtype=np.int64)
         self._periods = np.zeros(n, dtype=np.int64)
         self._violations = np.zeros(n, dtype=np.int64)
         self._lost = np.zeros(n)
         self._demanded = np.zeros(n)
-        self._track_recent = track_recent
-        if track_recent:
-            # Right-aligned, newest in the last column.  Columns left of
-            # a server's valid suffix are kept at exactly 0.0 so the
-            # sequential sum below adds identity zeros before reaching
-            # the window (x + 0.0 == x for the nonnegative gaps).
-            self._gaps = np.zeros((n, w_max))
-            # Servers with a window narrower than the buffer evict into
-            # this column on every shift once their window is full.
-            evict_col = w_max - self._window - 1
-            self._evictable = evict_col >= 0
-            self._evict_col = np.maximum(evict_col, 0)
-            self._evict_rows = np.nonzero(self._evictable)[0]
+        # Servers with a window narrower than the buffer shift their
+        # oldest gap into this column once full; it is zeroed again.
+        evict_col = width - self._window - 1
+        self._evictable = evict_col >= 0
+        self._evict_col = np.maximum(evict_col, 0)
+        self._evict_rows = np.flatnonzero(self._evictable)
         for i, tracker in enumerate(trackers):
             summary = tracker.summary
             self._periods[i] = summary.periods
@@ -203,16 +232,15 @@ class BatchTrackerBank:
             self._demanded[i] = summary.demanded_utilization
             gaps = tracker.recent_gaps
             if gaps:
-                self._ring[i, : len(gaps)] = gaps
+                self._gaps[i, width - len(gaps) :] = gaps
                 self._count[i] = len(gaps)
-                if track_recent:
-                    self._gaps[i, w_max - len(gaps) :] = gaps
+        self._filling = bool(np.count_nonzero(self._count < self._window))
 
     def record(
         self, idx: np.ndarray, demanded: np.ndarray, applied: np.ndarray
     ) -> None:
         """One control period for the servers in ``idx``."""
-        if idx.size == len(self._trackers):
+        if idx.size == self._n:
             self.record_all(demanded, applied)
             return
         gap = np.maximum(0.0, demanded - applied)
@@ -220,21 +248,15 @@ class BatchTrackerBank:
         self._violations[idx] += gap > self._tol[idx]
         self._lost[idx] += gap
         self._demanded[idx] += demanded
-        window = self._window[idx]
-        count = self._count[idx]
-        head = self._head[idx]
-        full = count == window
-        slot = np.where(full, head, (head + count) % window)
-        self._ring[idx, slot] = gap
-        self._head[idx] = np.where(full, (head + 1) % window, head)
-        self._count[idx] = np.where(full, count, count + 1)
-        if self._track_recent:
-            gaps = self._gaps
-            gaps[idx, :-1] = gaps[idx, 1:]
-            gaps[idx, -1] = gap
-            evict = idx[self._evictable[idx]]
-            if evict.size:
-                gaps[evict, self._evict_col[evict]] = 0.0
+        gaps = self._gaps
+        gaps[idx, :-1] = gaps[idx, 1:]
+        gaps[idx, -1] = gap
+        evict = idx[self._evictable[idx]]
+        if evict.size:
+            gaps[evict, self._evict_col[evict]] = 0.0
+        if self._filling:
+            self._count[idx] = np.minimum(self._count[idx] + 1, self._window[idx])
+            self._filling = bool(np.count_nonzero(self._count < self._window))
 
     def record_all(self, demanded: np.ndarray, applied: np.ndarray) -> None:
         """One control period for every server (gather-free fast lane)."""
@@ -243,59 +265,303 @@ class BatchTrackerBank:
         self._violations += gap > self._tol
         self._lost += gap
         self._demanded += demanded
-        window = self._window
-        count = self._count
-        head = self._head
-        full = count == window
-        slot = np.where(full, head, (head + count) % window)
-        self._ring[self._rows, slot] = gap
-        self._head = np.where(full, (head + 1) % window, head)
-        self._count = np.where(full, count, count + 1)
-        if self._track_recent:
-            gaps = self._gaps
-            gaps[:, :-1] = gaps[:, 1:]
-            gaps[:, -1] = gap
-            evict = self._evict_rows
-            if evict.size:
-                gaps[evict, self._evict_col[evict]] = 0.0
+        gaps = self._gaps
+        gaps[:, :-1] = gaps[:, 1:]
+        gaps[:, -1] = gap
+        evict = self._evict_rows
+        if evict.size:
+            gaps[evict, self._evict_col[evict]] = 0.0
+        if self._filling:
+            self._count = np.minimum(self._count + 1, self._window)
+            self._filling = bool(np.count_nonzero(self._count < self._window))
+
+    def _mean(self, gaps: np.ndarray, count: np.ndarray) -> np.ndarray:
+        # An empty window reads 0.0 like the scalar tracker: its row
+        # folds to 0.0, divided by 1.
+        total = np.add.accumulate(gaps, axis=1)[:, -1]
+        return total / (np.maximum(count, 1) if self._filling else count)
 
     def recent_degradation_all(self) -> np.ndarray:
-        """Per-server mean recent gap, bit-identical to the scalar mean.
-
-        Requires ``track_recent=True``.  The sum is built left-to-right
-        over the shift buffer's columns - the same association order as
-        ``sum(self._recent)`` on the scalar tracker - with the leading
-        zero columns acting as exact additive identities.
-        """
-        gaps = self._gaps
-        acc = np.zeros(self._n)
-        for j in range(gaps.shape[1]):
-            acc = acc + gaps[:, j]
-        return np.where(
-            self._count > 0, acc / np.maximum(self._count, 1), 0.0
-        )
+        """Per-server mean recent gap, bit-identical to the scalar mean."""
+        return self._mean(self._gaps, self._count)
 
     def recent_degradation(self, idx: np.ndarray) -> np.ndarray:
         """:meth:`recent_degradation_all` for a row subset."""
-        gaps = self._gaps[idx]
-        acc = np.zeros(idx.size)
-        for j in range(gaps.shape[1]):
-            acc = acc + gaps[:, j]
-        count = self._count[idx]
-        return np.where(count > 0, acc / np.maximum(count, 1), 0.0)
+        return self._mean(self._gaps[idx], self._count[idx])
 
     def sync_back(self) -> None:
         """Restore every tracker object to the accumulated state."""
+        width = self._gaps.shape[1]
         for i, tracker in enumerate(self._trackers):
             count = int(self._count[i])
-            order = (int(self._head[i]) + np.arange(count)) % int(self._window[i])
             tracker.restore(
                 periods=int(self._periods[i]),
                 violations=int(self._violations[i]),
                 lost_utilization=float(self._lost[i]),
                 demanded_utilization=float(self._demanded[i]),
-                recent_gaps=tuple(float(g) for g in self._ring[i, order]),
+                recent_gaps=tuple(
+                    float(g) for g in self._gaps[i, width - count :]
+                ),
             )
+
+
+def _positions(rows: np.ndarray, n: int) -> np.ndarray:
+    """Bank position of each batch row (-1 for rows outside the bank)."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[rows] = np.arange(rows.size)
+    return pos
+
+
+class _SetpointBank:
+    """A-Tref predictors (Section V-B) of the rows that carry one.
+
+    Each row's moving-average window is a right-aligned sample buffer,
+    newest last.  Column ``oldest`` holds a full row's oldest sample;
+    while a row fills it holds a 0.0 pad (shifts only move pads into
+    pads), so subtracting it replays the scalar filter's "no eviction
+    yet" exactly (``x - 0.0 == x``).  Columns left of it are never read
+    again once a row is full.
+    """
+
+    def __init__(
+        self, rows: np.ndarray, setpoints: Sequence[AdaptiveSetpoint], n: int
+    ) -> None:
+        k = rows.size
+        self.rows = rows
+        self.pos_of = _positions(rows, n)
+        filters = [sp.prediction_filter for sp in setpoints]
+        self.window = np.array([f.window for f in filters], dtype=np.int64)
+        width = int(self.window.max())
+        self.samples = np.zeros((k, width))
+        self.count = np.zeros(k, dtype=np.int64)
+        self.total = np.array([f.running_sum for f in filters])
+        for i, f in enumerate(filters):
+            samples = f.samples
+            if samples:
+                self.samples[i, width - len(samples) :] = samples
+                self.count[i] = len(samples)
+        self.oldest = width - self.window
+        self.uniform = not np.count_nonzero(self.oldest)
+        self.filling = bool(np.count_nonzero(self.count < self.window))
+        self.t_min = np.array([sp.range_c[0] for sp in setpoints])
+        self.t_span = np.array([sp.range_c[1] - sp.range_c[0] for sp in setpoints])
+        self.u_low = np.array([sp.util_range[0] for sp in setpoints])
+        self.u_span = np.array(
+            [sp.util_range[1] - sp.util_range[0] for sp in setpoints]
+        )
+        # Freshest prediction, read by the SSfan landing speed in the
+        # same decision (the scalar re-reads ``predicted_util``).
+        self.predicted = np.zeros(k)
+
+    def update(self, pos: Any, util: np.ndarray) -> np.ndarray:
+        """Feed one sample to the rows at ``pos``; returns their T_ref."""
+        samples = self.samples[pos]
+        if self.uniform:
+            evicted = samples[:, 0]
+        else:
+            evicted = samples[np.arange(len(samples)), self.oldest[pos]]
+        # The scalar filter subtracts the evicted sample, then adds the
+        # new one (evicted is read before the shift overwrites it).
+        total = self.total[pos] - evicted
+        samples[:, :-1] = samples[:, 1:]
+        samples[:, -1] = util
+        if pos is not _ALL:
+            self.samples[pos] = samples
+        total = total + util
+        self.total[pos] = total
+        count = self.count[pos]
+        if self.filling:
+            count = np.minimum(count + 1, self.window[pos])
+            self.count[pos] = count
+            self.filling = bool(np.count_nonzero(self.count < self.window))
+        predicted = total / count
+        self.predicted[pos] = predicted
+        fraction = (predicted - self.u_low[pos]) / self.u_span[pos]
+        fraction = np.minimum(np.maximum(fraction, 0.0), 1.0)
+        return self.t_min[pos] + fraction * self.t_span[pos]
+
+    def restore(self, p: int, setpoint: AdaptiveSetpoint) -> None:
+        count = int(self.count[p])
+        width = self.samples.shape[1]
+        setpoint.prediction_filter.restore(
+            samples=tuple(float(s) for s in self.samples[p, width - count :]),
+            total=float(self.total[p]),
+        )
+
+
+class _SingleStepBank:
+    """SSfan phase machines (Section V-C) of the rows that carry one.
+
+    :attr:`quiet` records that every row is INACTIVE; it is refreshed
+    whenever the machine runs, the only place phases change.
+    """
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        single_steps: Sequence[SingleStepFanScaling],
+        n: int,
+        setpoint_pos: np.ndarray | None,
+    ) -> None:
+        self.rows = rows
+        self.pos_of = _positions(rows, n)
+        self.index = np.arange(rows.size)
+        # A-Tref bank position of each row (-1: no predictor, the landing
+        # speed then reads the measured utilization).
+        self.setpoint_pos = (
+            np.full(rows.size, -1, dtype=np.int64)
+            if setpoint_pos is None
+            else setpoint_pos[rows]
+        )
+        self.phase = np.array(
+            [SS_PHASE_CODES[ss.phase] for ss in single_steps], dtype=np.int8
+        )
+        self.periods = np.array(
+            [ss.periods_in_phase for ss in single_steps], dtype=np.int64
+        )
+        self.boosts = np.array(
+            [ss.boost_count for ss in single_steps], dtype=np.int64
+        )
+        self.threshold = np.array([ss.degradation_threshold for ss in single_steps])
+        # An INACTIVE row triggers when its degradation exceeds a
+        # *positive* threshold; +inf never is exceeded.
+        self.trigger = np.where(self.threshold > 0.0, self.threshold, np.inf)
+        self.max_boost = np.array(
+            [ss.max_boost_periods for ss in single_steps], dtype=np.int64
+        )
+        self.refractory = np.array(
+            [ss.refractory_periods for ss in single_steps], dtype=np.int64
+        )
+        self.headroom = np.array([ss.headroom_util for ss in single_steps])
+        cfgs = [ss.model.config for ss in single_steps]
+        # The scalar recomputes this difference on every landing; the
+        # operands never change, so hoisting it preserves the bits.
+        self.target_c = np.array(
+            [
+                cfg.control.t_critical_c - ss.landing_margin_c
+                for cfg, ss in zip(cfgs, single_steps)
+            ]
+        )
+        self.ambient_c = np.array([cfg.ambient_c for cfg in cfgs])
+        self.max_speed = np.array([cfg.fan.max_speed_rpm for cfg in cfgs])
+        self.min_speed = np.array([cfg.fan.min_speed_rpm for cfg in cfgs])
+        self.p_static = np.array([cfg.cpu.p_static_w for cfg in cfgs])
+        self.p_dynamic = np.array([cfg.cpu.p_dynamic_w for cfg in cfgs])
+        self.r_die = np.array([cfg.die.r_die_k_per_w for cfg in cfgs])
+        self.r_base = np.array([cfg.heatsink.r_base_k_per_w for cfg in cfgs])
+        self.r_coeff = np.array([cfg.heatsink.r_coeff for cfg in cfgs])
+        self.inv_r_exp = np.array([1.0 / cfg.heatsink.r_exponent for cfg in cfgs])
+        self.quiet = not np.count_nonzero(self.phase != _SS_INACTIVE)
+
+    def may_act(self, pos: Any, degradation: np.ndarray) -> bool:
+        """False when :meth:`apply` would change nothing (exact exit)."""
+        return not self.quiet or bool(
+            np.count_nonzero(degradation > self.trigger[pos])
+        )
+
+    def apply(
+        self,
+        pos: Any,
+        fan: np.ndarray,
+        predicted: np.ndarray,
+        demand: np.ndarray,
+        degradation: np.ndarray,
+    ) -> np.ndarray:
+        """One period of the machine for the rows at ``pos``.
+
+        ``fan`` is the coordinated fan speed; the return value is the
+        (possibly overridden) speed to apply.  Mirrors
+        :meth:`~repro.core.single_step.SingleStepFanScaling.apply` with
+        masked transitions.
+        """
+        phase = self.phase[pos]
+        thr = self.threshold[pos]
+        boosted = phase == _SS_BOOSTED
+        refractory = phase == _SS_REFRACTORY
+        inactive = phase == _SS_INACTIVE
+        periods = self.periods[pos] + (boosted | refractory)
+        degraded = degradation > thr
+        cont_boost = boosted & degraded & (periods < self.max_boost[pos])
+        end_boost = boosted & ~cont_boost
+        refr_done = refractory & (periods >= self.refractory[pos])
+        refr_hold = refractory & ~refr_done
+        trigger = inactive & (thr > 0.0) & degraded
+        new_fan = np.where(cont_boost | trigger, self.max_speed[pos], fan)
+
+        # Landing speed ("lowest possible fan speed which enables to run
+        # required CPU utilization"): the scalar closed form of
+        # SteadyStateServerModel.required_fan_speed_rpm, with safe
+        # denominators on the rows that take a different branch.  Only
+        # rows ending a boost or holding refractory need it, and the
+        # final exponentiation goes through CPython's ``**`` - NumPy's
+        # SIMD pow loop can differ from libm pow by an ulp, which would
+        # break tier-A bit-for-bit equality.
+        need = np.flatnonzero(end_boost | refr_hold)
+        if need.size:
+            sub = self.index[pos][need]
+            demand_eff = np.minimum(
+                np.maximum(
+                    np.maximum(demand[need], predicted[need])
+                    + self.headroom[sub],
+                    0.0,
+                ),
+                1.0,
+            )
+            power = self.p_static[sub] + self.p_dynamic[sub] * demand_eff
+            power_pos = power > 0.0
+            r_hs = (self.target_c[sub] - self.ambient_c[sub]) / np.where(
+                power_pos, power, 1.0
+            ) - self.r_die[sub]
+            r_var = r_hs - self.r_base[sub]
+            var_pos = r_var > 0.0
+            base = self.r_coeff[sub] / np.where(var_pos, r_var, 1.0)
+            speed = np.array(
+                [float(b) ** float(e) for b, e in zip(base, self.inv_r_exp[sub])]
+            )
+            sub_min = self.min_speed[sub]
+            sub_max = self.max_speed[sub]
+            new_fan[need] = np.where(
+                power_pos,
+                np.where(
+                    var_pos,
+                    np.minimum(np.maximum(speed, sub_min), sub_max),
+                    sub_max,
+                ),
+                sub_min,
+            )
+        transition = end_boost | refr_done | trigger
+        self.phase[pos] = np.where(
+            end_boost,
+            _SS_REFRACTORY,
+            np.where(refr_done, _SS_INACTIVE, np.where(trigger, _SS_BOOSTED, phase)),
+        )
+        self.periods[pos] = np.where(transition, 0, periods)
+        self.boosts[pos] += trigger
+        self.quiet = not np.count_nonzero(self.phase != _SS_INACTIVE)
+        return new_fan
+
+    def restore(self, p: int, single_step: SingleStepFanScaling) -> None:
+        single_step.restore_state(
+            phase=CODE_TO_SS_PHASE[int(self.phase[p])],
+            periods_in_phase=int(self.periods[p]),
+            boost_count=int(self.boosts[p]),
+        )
+
+
+def _locate(
+    rows: np.ndarray, pos_of: np.ndarray, idx: np.ndarray, whole: bool
+) -> tuple[np.ndarray, Any, np.ndarray]:
+    """Where a stage's ``rows`` sit among the due servers ``idx``.
+
+    Returns ``(local, pos, rows)``: indices into the idx-aligned inputs,
+    the stage positions (:data:`_ALL` on the whole batch) and the batch
+    rows.
+    """
+    if whole:
+        return rows, _ALL, rows
+    pos = pos_of[idx]
+    local = np.flatnonzero(pos >= 0)
+    return local, pos[local], idx[local]
 
 
 class BatchGlobalController:
@@ -309,6 +575,10 @@ class BatchGlobalController:
     Every controller must pass
     :func:`batch_controller_unsupported_reason` - the caller is expected
     to have partitioned unsupported ones onto the scalar path already.
+
+    On a whole-batch step :attr:`fan_speed_rpm` is rebound when a fan
+    command moves and never written in place, so a caller may alias it
+    and detect changes by identity; a subset step writes it in place.
     """
 
     def __init__(self, controllers: Sequence[GlobalController]) -> None:
@@ -333,6 +603,7 @@ class BatchGlobalController:
 
         # --- fan decision schedule ---
         self._next_fan = np.array([c.next_fan_decision_s for c in controllers])
+        self._next_fan_min = float(self._next_fan.min())
         self._fan_interval = np.array(
             [c.control.fan_interval_s for c in controllers]
         )
@@ -380,7 +651,15 @@ class BatchGlobalController:
 
         # --- PID state ---
         self._pid_dt = np.array([pid.sample_time_s for pid in pids])
-        self._pid_setpoint = np.array([pid.setpoint for pid in pids])
+        # The PID tracks T_ref and A-Tref moves both together, so when
+        # they agree at construction they stay equal and share one array
+        # (a decision then scatters T_ref once).
+        pid_setpoint = np.array([pid.setpoint for pid in pids])
+        self._pid_setpoint = (
+            self.t_ref_c
+            if np.array_equal(pid_setpoint, self.t_ref_c)
+            else pid_setpoint
+        )
         self._pid_offset = np.array([pid.output_offset for pid in pids])
         self._pid_integral = np.array([pid.integral for pid in pids])
         self._pid_kp = np.array([pid.gains.kp for pid in pids])
@@ -396,8 +675,11 @@ class BatchGlobalController:
         )
 
         # --- deadzone capper ---
+        # Rows without a capper carry identity coefficients: their
+        # proposal is the current cap itself, which classifies as "no
+        # change" and, applied, leaves the cap bit for bit.
         cappers = [c.cpu_capper for c in controllers]
-        self._has_capper = np.array([cap is not None for cap in cappers])
+        self._no_capper = np.array([cap is None for cap in cappers])
         self._cap_low = np.array(
             [-np.inf if cap is None else cap.deadzone_c[0] for cap in cappers]
         )
@@ -408,135 +690,88 @@ class BatchGlobalController:
             [0.0 if cap is None else cap.step for cap in cappers]
         )
         self._cap_min = np.array(
-            [0.0 if cap is None else cap.cap_range[0] for cap in cappers]
+            [-np.inf if cap is None else cap.cap_range[0] for cap in cappers]
         )
         self._cap_max = np.array(
-            [1.0 if cap is None else cap.cap_range[1] for cap in cappers]
+            [np.inf if cap is None else cap.cap_range[1] for cap in cappers]
         )
 
         # --- coordinator (Table II codes / E-coord / uncoordinated) ---
-        self._is_rule = np.array(
-            [type(c.coordinator) is RuleBasedCoordinator for c in controllers]
+        # Rule-based and E-coord servers follow one *action*: only the
+        # chosen knob moves.  The uncoordinated baseline applies every
+        # proposal.  Every row carries an action code and counts; only
+        # the action-followers' are written back.
+        coordinators = [c.coordinator for c in controllers]
+        is_eco = np.array(
+            [type(c) is EnergyAwareCoordinator for c in coordinators]
         )
-        self._is_eco = np.array(
-            [type(c.coordinator) is EnergyAwareCoordinator for c in controllers]
+        self._apply_all = np.array(
+            [type(c) is UncoordinatedCoordinator for c in coordinators]
         )
+        self._any_apply_all = bool(np.count_nonzero(self._apply_all))
         self._last_action = np.full(n, _NONE, dtype=np.int8)
         self._action_counts = np.zeros((n, len(CODE_TO_ACTION)), dtype=np.int64)
-        for i, controller in enumerate(controllers):
-            coordinator = controller.coordinator
+        self._action_flat = self._action_counts.reshape(-1)
+        self._action_base = np.arange(n) * len(CODE_TO_ACTION)
+        for i, coordinator in enumerate(coordinators):
             if type(coordinator) in (RuleBasedCoordinator, EnergyAwareCoordinator):
                 self._last_action[i] = ACTION_CODES[coordinator.last_action]
                 for action, count in coordinator.action_counts.items():
                     self._action_counts[i, ACTION_CODES[action]] = count
 
-        # E-coord coefficients.  The fan-admission threshold replays the
-        # scalar's per-call ``t_emergency_c - fan_admission_margin_c``
-        # subtraction once (it is deterministic), and the marginal-power
-        # terms come from the same FanPowerModel / CpuPowerModel
-        # expressions the SteadyStateServerModel evaluates.
-        self._eco_gate_c = np.zeros(n)
-        self._eco_fan_pps = np.ones(n)
-        self._eco_fan_vmax = np.ones(n)
-        self._eco_neg_p_dyn = np.zeros(n)
-        for i, controller in enumerate(controllers):
-            coordinator = controller.coordinator
-            if type(coordinator) is EnergyAwareCoordinator:
-                cfg = coordinator.model.config
-                self._eco_gate_c[i] = (
-                    coordinator.t_emergency_c - coordinator.fan_admission_margin_c
-                )
-                self._eco_fan_pps[i] = cfg.fan.power_per_socket_w
-                self._eco_fan_vmax[i] = cfg.fan.max_speed_rpm
-                self._eco_neg_p_dyn[i] = -cfg.cpu.p_dynamic_w
-
-        # --- adaptive set-point (A-Tref) ---
-        setpoints = [c.setpoint for c in controllers]
-        self._has_sp = np.array([sp is not None for sp in setpoints])
-        self._sp_t_min = np.array(
-            [0.0 if sp is None else sp.range_c[0] for sp in setpoints]
-        )
-        self._sp_t_span = np.array(
-            [0.0 if sp is None else sp.range_c[1] - sp.range_c[0] for sp in setpoints]
-        )
-        self._sp_u_low = np.array(
-            [0.0 if sp is None else sp.util_range[0] for sp in setpoints]
-        )
-        self._sp_u_span = np.array(
+        # E-coord coefficients, compact over its rows.  The fan-admission
+        # gate replays the scalar's per-call ``t_emergency_c -
+        # fan_admission_margin_c`` subtraction once (it is deterministic),
+        # and the fan power terms come from the same FanPowerModel
+        # expression the SteadyStateServerModel evaluates.  The gate is
+        # also kept batch-wide for the no-proposal exit.
+        self._eco_rows = np.flatnonzero(is_eco)
+        self._eco_pos_of = _positions(self._eco_rows, n)
+        self._eco_gate = np.array(
             [
-                1.0
-                if sp is None
-                else sp.util_range[1] - sp.util_range[0]
-                for sp in setpoints
+                coordinators[i].t_emergency_c
+                - coordinators[i].fan_admission_margin_c
+                for i in self._eco_rows
             ]
         )
-        windows = [
-            1 if sp is None else sp.prediction_filter.window for sp in setpoints
-        ]
-        w_max = max(windows)
-        self._sp_window = np.array(windows, dtype=np.int64)
-        self._sp_ring = np.zeros((n, w_max))
-        self._sp_head = np.zeros(n, dtype=np.int64)
-        self._sp_count = np.zeros(n, dtype=np.int64)
-        self._sp_sum = np.zeros(n)
-        for i, sp in enumerate(setpoints):
-            if sp is None:
-                continue
-            samples = sp.prediction_filter.samples
-            if samples:
-                self._sp_ring[i, : len(samples)] = samples
-                self._sp_count[i] = len(samples)
-            self._sp_sum[i] = sp.prediction_filter.running_sum
-        # Freshest predictor output, consumed by the SSfan landing-speed
-        # computation in the same step (the scalar path re-reads
-        # ``setpoint.predicted_util`` from the identical sum/count).
-        self._sp_predicted = np.zeros(n)
+        self._eco_fan_pps = np.array(
+            [
+                coordinators[i].model.config.fan.power_per_socket_w
+                for i in self._eco_rows
+            ]
+        )
+        self._eco_fan_vmax = np.array(
+            [coordinators[i].model.config.fan.max_speed_rpm for i in self._eco_rows]
+        )
+        self._eco_gate_all = np.zeros(n)
+        self._eco_gate_all[self._eco_rows] = self._eco_gate
+        self._not_eco = ~is_eco
 
-        # --- single-step fan scaling (Section V-C) ---
+        # --- adaptive set-point (A-Tref) and SSfan, compact banks ---
+        setpoints = [c.setpoint for c in controllers]
+        sp_rows = np.array(
+            [i for i, sp in enumerate(setpoints) if sp is not None], dtype=np.int64
+        )
+        self._sp = (
+            _SetpointBank(sp_rows, [setpoints[i] for i in sp_rows], n)
+            if sp_rows.size
+            else None
+        )
         single_steps = [c.single_step for c in controllers]
-        self._has_ss = np.array([ss is not None for ss in single_steps])
-        self._ss_phase = np.full(n, _SS_INACTIVE, dtype=np.int8)
-        self._ss_periods = np.zeros(n, dtype=np.int64)
-        self._ss_boosts = np.zeros(n, dtype=np.int64)
-        self._ss_threshold = np.zeros(n)
-        self._ss_max_boost = np.ones(n, dtype=np.int64)
-        self._ss_refractory = np.zeros(n, dtype=np.int64)
-        self._ss_headroom = np.zeros(n)
-        self._ss_target_c = np.zeros(n)
-        self._ss_ambient_c = np.zeros(n)
-        self._ss_max_speed = np.ones(n)
-        self._ss_min_speed = np.zeros(n)
-        self._ss_p_static = np.zeros(n)
-        self._ss_p_dynamic = np.zeros(n)
-        self._ss_r_die = np.zeros(n)
-        self._ss_r_base = np.zeros(n)
-        self._ss_r_coeff = np.ones(n)
-        self._ss_inv_r_exp = np.ones(n)
-        for i, ss in enumerate(single_steps):
-            if ss is None:
-                continue
-            cfg = ss.model.config
-            self._ss_phase[i] = SS_PHASE_CODES[ss.phase]
-            self._ss_periods[i] = ss.periods_in_phase
-            self._ss_boosts[i] = ss.boost_count
-            self._ss_threshold[i] = ss.degradation_threshold
-            self._ss_max_boost[i] = ss.max_boost_periods
-            self._ss_refractory[i] = ss.refractory_periods
-            self._ss_headroom[i] = ss.headroom_util
-            # The scalar recomputes this difference on every landing; the
-            # operands never change, so hoisting it preserves the bits.
-            self._ss_target_c[i] = (
-                cfg.control.t_critical_c - ss.landing_margin_c
+        ss_rows = np.array(
+            [i for i, ss in enumerate(single_steps) if ss is not None],
+            dtype=np.int64,
+        )
+        self._ss = (
+            _SingleStepBank(
+                ss_rows,
+                [single_steps[i] for i in ss_rows],
+                n,
+                None if self._sp is None else self._sp.pos_of,
             )
-            self._ss_ambient_c[i] = cfg.ambient_c
-            self._ss_max_speed[i] = cfg.fan.max_speed_rpm
-            self._ss_min_speed[i] = cfg.fan.min_speed_rpm
-            self._ss_p_static[i] = cfg.cpu.p_static_w
-            self._ss_p_dynamic[i] = cfg.cpu.p_dynamic_w
-            self._ss_r_die[i] = cfg.die.r_die_k_per_w
-            self._ss_r_base[i] = cfg.heatsink.r_base_k_per_w
-            self._ss_r_coeff[i] = cfg.heatsink.r_coeff
-            self._ss_inv_r_exp[i] = 1.0 / cfg.heatsink.r_exponent
+            if ss_rows.size
+            else None
+        )
 
         # --- last proposals (scalar parity for sync-back) ---
         self._last_fan_prop = np.zeros(n)
@@ -552,28 +787,6 @@ class BatchGlobalController:
                 self._last_cap_prop[i] = cap_prop
                 self._last_cap_none[i] = False
 
-        # --- fast-path precomputes (the full-batch lane skips gathers and
-        # whole op groups based on these) ---
-        self._all_idx = np.arange(n)
-        self._sp_idx = np.nonzero(self._has_sp)[0]
-        self._any_sp = bool(self._has_sp.any())
-        self._all_sp = bool(self._has_sp.all())
-        self._any_capper = bool(self._has_capper.any())
-        self._all_capper = bool(self._has_capper.all())
-        # Rule-based and E-coord servers both follow an *action*: only the
-        # chosen knob moves.  The uncoordinated baseline applies every
-        # proposal.  ``_is_coord`` collects the action-followers.
-        self._is_coord = self._is_rule | self._is_eco
-        self._coord_idx = np.nonzero(self._is_coord)[0]
-        self._any_coord = bool(self._is_coord.any())
-        self._all_coord = bool(self._is_coord.all())
-        self._eco_idx = np.nonzero(self._is_eco)[0]
-        self._any_eco = bool(self._is_eco.any())
-        self._ss_idx = np.nonzero(self._has_ss)[0]
-        self._any_ss = bool(self._has_ss.any())
-        self._zero_sign = np.zeros(n, dtype=np.int64)
-        self._next_fan_min = float(self._next_fan.min())
-
     @property
     def n_servers(self) -> int:
         """Batch width B."""
@@ -588,63 +801,7 @@ class BatchGlobalController:
         recent_degradation_all` (post-record, matching the scalar engine's
         record-then-read order).
         """
-        return self._any_ss
-
-    def _update_setpoints(self, idx: np.ndarray, util: np.ndarray) -> None:
-        """A-Tref: moving-average predictor -> linear T_ref schedule."""
-        window = self._sp_window[idx]
-        count = self._sp_count[idx]
-        head = self._sp_head[idx]
-        full = count == window
-        # The scalar filter subtracts the evicted sample before adding the
-        # new one; replay both float ops in that order.
-        total = np.where(
-            full, self._sp_sum[idx] - self._sp_ring[idx, head], self._sp_sum[idx]
-        )
-        slot = np.where(full, head, (head + count) % window)
-        self._sp_ring[idx, slot] = util
-        self._sp_head[idx] = np.where(full, (head + 1) % window, head)
-        count = np.where(full, count, count + 1)
-        self._sp_count[idx] = count
-        total = total + util
-        self._sp_sum[idx] = total
-        predicted = total / count
-        self._sp_predicted[idx] = predicted
-        fraction = (predicted - self._sp_u_low[idx]) / self._sp_u_span[idx]
-        fraction = np.minimum(np.maximum(fraction, 0.0), 1.0)
-        t_ref = self._sp_t_min[idx] + fraction * self._sp_t_span[idx]
-        self.t_ref_c[idx] = t_ref
-        self._pid_setpoint[idx] = t_ref
-
-    def _update_setpoints_all(self, util: np.ndarray) -> None:
-        """Gather-free :meth:`_update_setpoints` for the whole batch.
-
-        Same float operations on the same values (scatters become
-        rebinds), so the T_ref schedule matches the subset path bit for
-        bit.  ``t_ref_c`` and ``_pid_setpoint`` may alias after this:
-        the only in-place writers assign both the same values.
-        """
-        window = self._sp_window
-        count = self._sp_count
-        head = self._sp_head
-        full = count == window
-        total = np.where(
-            full, self._sp_sum - self._sp_ring[self._all_idx, head], self._sp_sum
-        )
-        slot = np.where(full, head, (head + count) % window)
-        self._sp_ring[self._all_idx, slot] = util
-        self._sp_head = np.where(full, (head + 1) % window, head)
-        count = np.where(full, count, count + 1)
-        self._sp_count = count
-        total = total + util
-        self._sp_sum = total
-        predicted = total / count
-        self._sp_predicted = predicted
-        fraction = (predicted - self._sp_u_low) / self._sp_u_span
-        fraction = np.minimum(np.maximum(fraction, 0.0), 1.0)
-        t_ref = self._sp_t_min + fraction * self._sp_t_span
-        self.t_ref_c = t_ref
-        self._pid_setpoint = t_ref
+        return self._ss is not None
 
     def _fan_proposals(
         self, idx: np.ndarray, tmeas: np.ndarray
@@ -752,14 +909,14 @@ class BatchGlobalController:
 
     def _eco_actions(
         self,
-        rows: np.ndarray,
+        pos: Any,
         tmeas: np.ndarray,
         ds: np.ndarray,
         du: np.ndarray,
         fan_prop: np.ndarray,
         cur_fan: np.ndarray,
     ) -> np.ndarray:
-        """E-coord action codes for the servers in ``rows`` (all E-coord).
+        """E-coord action codes for the E-coord rows at ``pos``.
 
         Replays :meth:`~repro.core.ecoord.EnergyAwareCoordinator.
         coordinate` element-wise.  The candidate-list ``max`` reduces to
@@ -772,12 +929,12 @@ class BatchGlobalController:
         ``>= 0`` while cap-up's is ``<= 0``, so fan-down always wins when
         both are proposed (ties break to the first-listed fan-down).
         """
-        fan_useful = tmeas >= self._eco_gate_c[rows]
+        fan_useful = tmeas >= self._eco_gate[pos]
         fanup = (ds > 0) & fan_useful
         capdown = du < 0
         take_cooling = (fanup | capdown) & fan_useful
-        pps = self._eco_fan_pps[rows]
-        v_max = self._eco_fan_vmax[rows]
+        pps = self._eco_fan_pps[pos]
+        v_max = self._eco_fan_vmax[pos]
         power_inc = (
             pps * (fan_prop / v_max) ** 3 - pps * (cur_fan / v_max) ** 3
         )
@@ -786,98 +943,7 @@ class BatchGlobalController:
         relaxing = np.where(
             ds < 0, _FAN_DOWN, np.where(du > 0, _CAP_UP, _NONE)
         )
-        return np.where(take_cooling, cooling, relaxing).astype(np.int8)
-
-    def _ssfan_override(
-        self,
-        rows: np.ndarray,
-        fan: np.ndarray,
-        util: np.ndarray,
-        demand: np.ndarray,
-        degradation: np.ndarray,
-    ) -> np.ndarray:
-        """SSfan phase machine for the servers in ``rows`` (all SSfan).
-
-        ``fan`` is the coordinated fan speed; the return value is the
-        (possibly overridden) speed to apply.  Mirrors
-        :meth:`~repro.core.single_step.SingleStepFanScaling.apply` with
-        int8 phase codes and masked transitions.
-        """
-        phase = self._ss_phase[rows]
-        thr = self._ss_threshold[rows]
-        boosted = phase == _SS_BOOSTED
-        refractory = phase == _SS_REFRACTORY
-        inactive = phase == _SS_INACTIVE
-        periods = self._ss_periods[rows] + (boosted | refractory)
-        degraded = degradation > thr
-        cont_boost = boosted & degraded & (periods < self._ss_max_boost[rows])
-        end_boost = boosted & ~cont_boost
-        refr_done = refractory & (periods >= self._ss_refractory[rows])
-        refr_hold = refractory & ~refr_done
-        trigger = inactive & (thr > 0.0) & degraded
-
-        max_speed = self._ss_max_speed[rows]
-        new_fan = np.where(cont_boost | trigger, max_speed, fan)
-
-        # Landing speed ("lowest possible fan speed which enables to run
-        # required CPU utilization"): the scalar closed form of
-        # SteadyStateServerModel.required_fan_speed_rpm, with safe
-        # denominators on the rows that take a different branch.  Only
-        # rows ending a boost or holding refractory need it, and the
-        # final exponentiation goes through CPython's ``**`` - NumPy's
-        # SIMD pow loop can differ from libm pow by an ulp, which would
-        # break tier-A bit-for-bit equality.
-        need = np.nonzero(end_boost | refr_hold)[0]
-        if need.size:
-            sub = rows[need]
-            predicted = np.where(
-                self._has_sp[sub], self._sp_predicted[sub], util[need]
-            )
-            demand_eff = np.minimum(
-                np.maximum(
-                    np.maximum(demand[need], predicted)
-                    + self._ss_headroom[sub],
-                    0.0,
-                ),
-                1.0,
-            )
-            power = (
-                self._ss_p_static[sub] + self._ss_p_dynamic[sub] * demand_eff
-            )
-            power_pos = power > 0.0
-            r_hs = (
-                self._ss_target_c[sub] - self._ss_ambient_c[sub]
-            ) / np.where(power_pos, power, 1.0) - self._ss_r_die[sub]
-            r_var = r_hs - self._ss_r_base[sub]
-            var_pos = r_var > 0.0
-            base = self._ss_r_coeff[sub] / np.where(var_pos, r_var, 1.0)
-            speed = np.array(
-                [
-                    float(b) ** float(e)
-                    for b, e in zip(base, self._ss_inv_r_exp[sub])
-                ]
-            )
-            sub_max = max_speed[need]
-            sub_min = self._ss_min_speed[sub]
-            landing = np.where(
-                power_pos,
-                np.where(
-                    var_pos,
-                    np.minimum(np.maximum(speed, sub_min), sub_max),
-                    sub_max,
-                ),
-                sub_min,
-            )
-            new_fan[need] = landing
-        transition = end_boost | refr_done | trigger
-        self._ss_phase[rows] = np.where(
-            end_boost,
-            _SS_REFRACTORY,
-            np.where(refr_done, _SS_INACTIVE, np.where(trigger, _SS_BOOSTED, phase)),
-        ).astype(np.int8)
-        self._ss_periods[rows] = np.where(transition, 0, periods)
-        self._ss_boosts[rows] += trigger
-        return new_fan
+        return np.where(take_cooling, cooling, relaxing)
 
     def step_due(
         self,
@@ -891,308 +957,144 @@ class BatchGlobalController:
         """One CPU control period for the servers in ``idx``.
 
         ``tmeas``, ``util``, ``demand``, and ``degradation`` are aligned
-        with ``idx``.  ``demand`` (OS demand estimate) and
-        ``degradation`` (post-record recent mean deficit) are required
-        when any server carries the SSfan override (see
+        with ``idx``; an ``idx`` as wide as the batch is the whole batch
+        in row order (the gather-free path).  ``demand`` (OS demand
+        estimate) and ``degradation`` (post-record recent mean deficit)
+        are required when any server carries the SSfan override (see
         :attr:`needs_degradation`); without SSfan they are unused.
         Updated knob settings land in :attr:`fan_speed_rpm` /
         :attr:`cpu_cap`.
         """
-        if self._any_ss and degradation is None:
+        ss = self._ss
+        if ss is not None and (demand is None or degradation is None):
             raise SimulationError(
                 "SSfan servers need the degradation signal; pass "
                 "demand/degradation to step_due"
             )
-        if idx.size == self._n:
-            self._step_all(t, tmeas, util, demand, degradation)
-        else:
-            self._step_subset(idx, t, tmeas, util, demand, degradation)
+        whole = idx.size == self._n
+        sel = _ALL if whole else idx
 
-    def _step_all(
-        self,
-        t: float,
-        tmeas: np.ndarray,
-        util: np.ndarray,
-        demand: np.ndarray | None = None,
-        degradation: np.ndarray | None = None,
-    ) -> None:
-        """All servers due at once (the common case: shared CPU period).
-
-        Same decision sequence as :meth:`_step_subset`, minus the
-        index gathers, and with whole op groups skipped when no server
-        needs them (no fan period due, no capper, no set-point).
-        """
         # Section V-B: predictive T_ref adjustment, every CPU period.
-        if self._any_sp:
-            if self._all_sp:
-                self._update_setpoints_all(util)
-            else:
-                self._update_setpoints(self._sp_idx, util[self._has_sp])
+        sp = self._sp
+        if sp is not None:
+            local, pos, rows = _locate(sp.rows, sp.pos_of, idx, whole)
+            if local.size:
+                t_ref = sp.update(pos, util[local])
+                self.t_ref_c[rows] = t_ref
+                if self._pid_setpoint is not self.t_ref_c:
+                    self._pid_setpoint[rows] = t_ref
 
         # Deadzone cap proposals.
-        cap = self.cpu_cap
-        if self._any_capper:
-            proposed = np.where(
-                tmeas > self._cap_high,
-                cap - self._cap_step,
-                np.where(tmeas < self._cap_low, cap + self._cap_step, cap),
-            )
-            cap_prop = np.minimum(
-                np.maximum(proposed, self._cap_min), self._cap_max
-            )
-            self._last_cap_prop = cap_prop
-            self._last_cap_none = ~self._has_capper
-            d_cap = cap_prop - cap
-            du = np.where(
-                d_cap > _SIGN_TOL, 1, np.where(d_cap < -_SIGN_TOL, -1, 0)
-            )
-            if not self._all_capper:
-                du = np.where(self._has_capper, du, 0)
-        else:
-            cap_prop = cap
-            self._last_cap_none.fill(True)
-            du = self._zero_sign
-
-        # Fan proposals, only when some server's fan period is due.
-        t_plus = t + 1e-9
-        any_fan = self._next_fan_min <= t_plus
-        if any_fan:
-            fan_due = self._next_fan <= t_plus
-            due = np.nonzero(fan_due)[0]
-            if due.size == self._n:
-                fan_prop = self._fan_proposals(self._all_idx, tmeas)
-            else:
-                fan_prop = np.zeros(self._n)
-                fan_prop[fan_due] = self._fan_proposals(due, tmeas[fan_due])
-            nxt = self._next_fan[due]
-            interval = self._fan_interval[due]
-            while True:
-                late = nxt <= t_plus
-                if not late.any():
-                    break
-                nxt = np.where(late, nxt + interval, nxt)
-            self._next_fan[due] = nxt
-            self._next_fan_min = float(self._next_fan.min())
-            self._last_fan_prop = fan_prop
-            self._last_fan_none = ~fan_due
-        else:
-            self._last_fan_none.fill(True)
-
-        # Global coordination (Table II codes / E-coord / apply-all).
-        cur_fan = self.fan_speed_rpm
-        if any_fan:
-            d_fan = fan_prop - cur_fan
-            ds = np.where(
-                fan_due,
-                np.where(
-                    d_fan > _SIGN_TOL, 1, np.where(d_fan < -_SIGN_TOL, -1, 0)
-                ),
-                0,
-            )
-            action = np.where(
-                ds > 0,
-                _FAN_UP,
-                np.where(
-                    ds < 0,
-                    np.where(du > 0, _CAP_UP, _FAN_DOWN),
-                    np.where(du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)),
-                ),
-            ).astype(np.int8)
-        else:
-            # ds == 0 everywhere: only the cap column of Table II remains.
-            action = np.where(
-                du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)
-            ).astype(np.int8)
-
-        if self._any_eco:
-            eco = self._eco_idx
-            if any_fan:
-                eco_ds = ds[eco]
-                eco_prop = fan_prop[eco]
-            else:
-                eco_ds = self._zero_sign[eco]
-                eco_prop = cur_fan[eco]
-            action[eco] = self._eco_actions(
-                eco, tmeas[eco], eco_ds, du[eco], eco_prop, cur_fan[eco]
-            )
-
-        if self._all_coord:
-            take_cap = (action == _CAP_UP) | (action == _CAP_DOWN)
-        elif self._any_coord:
-            take_cap = np.where(
-                self._is_coord,
-                (action == _CAP_UP) | (action == _CAP_DOWN),
-                self._has_capper,
-            )
-        else:
-            take_cap = self._has_capper
-        self.cpu_cap = np.where(take_cap, cap_prop, cap)
-
-        if any_fan:
-            if self._all_coord:
-                take_fan = (action == _FAN_UP) | (action == _FAN_DOWN)
-            elif self._any_coord:
-                take_fan = np.where(
-                    self._is_coord,
-                    (action == _FAN_UP) | (action == _FAN_DOWN),
-                    fan_due,
-                )
-            else:
-                take_fan = fan_due
-            new_fan = np.where(take_fan, fan_prop, cur_fan)
-        else:
-            new_fan = cur_fan
-
-        # Section V-C: SSfan override after coordination.
-        if self._any_ss:
-            assert demand is not None and degradation is not None
-            ss = self._ss_idx
-            if ss.size == self._n:
-                new_fan = self._ssfan_override(
-                    ss, new_fan, util, demand, degradation
-                )
-            else:
-                if new_fan is cur_fan:
-                    new_fan = cur_fan.copy()
-                new_fan[ss] = self._ssfan_override(
-                    ss, new_fan[ss], util[ss], demand[ss], degradation[ss]
-                )
-            self.fan_speed_rpm = new_fan
-            # notify_applied: clamp into the physical limits.
-            self._applied = np.minimum(
-                np.maximum(new_fan, self._v_min), self._v_max
-            )
-        elif any_fan:
-            self.fan_speed_rpm = new_fan
-            # notify_applied: clamp into the physical limits.
-            self._applied = np.minimum(
-                np.maximum(new_fan, self._v_min), self._v_max
-            )
-
-        # Row indices are distinct (one action per server), so the
-        # buffered fancy-index add is exact and cheaper than np.add.at.
-        if self._all_coord:
-            self._last_action = action
-            self._action_counts[self._all_idx, action] += 1
-        elif self._any_coord:
-            coord_idx = self._coord_idx
-            coord_action = action[coord_idx]
-            self._last_action[coord_idx] = coord_action
-            self._action_counts[coord_idx, coord_action] += 1
-
-    def _step_subset(
-        self,
-        idx: np.ndarray,
-        t: float,
-        tmeas: np.ndarray,
-        util: np.ndarray,
-        demand: np.ndarray | None = None,
-        degradation: np.ndarray | None = None,
-    ) -> None:
-        """General path for a strict due subset (mixed CPU periods)."""
-        # Section V-B: predictive T_ref adjustment, every CPU period.
-        has_sp = self._has_sp[idx]
-        if has_sp.any():
-            self._update_setpoints(idx[has_sp], util[has_sp])
-
-        # Deadzone cap proposals (dummy coefficients make the no-capper
-        # rows a no-op; they are masked out of the coordination below).
-        cap = self.cpu_cap[idx]
+        cap = self.cpu_cap[sel]
+        step = self._cap_step[sel]
         proposed = np.where(
-            tmeas > self._cap_high[idx],
-            cap - self._cap_step[idx],
-            np.where(tmeas < self._cap_low[idx], cap + self._cap_step[idx], cap),
+            tmeas > self._cap_high[sel],
+            cap - step,
+            np.where(tmeas < self._cap_low[sel], cap + step, cap),
         )
         cap_prop = np.minimum(
-            np.maximum(proposed, self._cap_min[idx]), self._cap_max[idx]
+            np.maximum(proposed, self._cap_min[sel]), self._cap_max[sel]
         )
-
-        # Fan proposals for servers whose fan period is due.
-        t_plus = t + 1e-9
-        fan_due = self._next_fan[idx] <= t_plus
-        fan_prop = np.zeros(idx.size)
-        if fan_due.any():
-            due = idx[fan_due]
-            fan_prop[fan_due] = self._fan_proposals(due, tmeas[fan_due])
-            nxt = self._next_fan[due]
-            interval = self._fan_interval[due]
-            while True:
-                late = nxt <= t_plus
-                if not late.any():
-                    break
-                nxt = np.where(late, nxt + interval, nxt)
-            self._next_fan[due] = nxt
-            self._next_fan_min = float(self._next_fan.min())
-
-        self._last_fan_prop[idx] = fan_prop
-        self._last_fan_none[idx] = ~fan_due
-        has_capper = self._has_capper[idx]
-        self._last_cap_prop[idx] = cap_prop
-        self._last_cap_none[idx] = ~has_capper
-
-        # Global coordination: Table II for rule-based servers, apply-all
-        # for the uncoordinated baseline.
-        cur_fan = self.fan_speed_rpm[idx]
-        d_fan = fan_prop - cur_fan
-        ds = np.where(
-            fan_due,
-            np.where(d_fan > _SIGN_TOL, 1, np.where(d_fan < -_SIGN_TOL, -1, 0)),
-            0,
-        )
+        self._last_cap_prop[sel] = cap_prop
+        self._last_cap_none[sel] = self._no_capper[sel]
         d_cap = cap_prop - cap
-        du = np.where(
-            has_capper,
-            np.where(d_cap > _SIGN_TOL, 1, np.where(d_cap < -_SIGN_TOL, -1, 0)),
-            0,
-        )
-        action = np.where(
-            ds > 0,
-            _FAN_UP,
-            np.where(
-                ds < 0,
-                np.where(du > 0, _CAP_UP, _FAN_DOWN),
-                np.where(du > 0, _CAP_UP, np.where(du < 0, _CAP_DOWN, _NONE)),
-            ),
-        ).astype(np.int8)
-        eco = self._is_eco[idx]
-        if eco.any():
-            action[eco] = self._eco_actions(
-                idx[eco],
-                tmeas[eco],
-                ds[eco],
-                du[eco],
-                fan_prop[eco],
-                cur_fan[eco],
+        cap_up = d_cap > _SIGN_TOL
+        cap_down = d_cap < -_SIGN_TOL
+
+        # Fan proposals, only when some due server's fan period is due.
+        # Rows not due propose their current speed: a zero delta, so
+        # Table II and apply-all both leave them where they are.
+        t_plus = t + 1e-9
+        cur_fan = self.fan_speed_rpm if whole else self.fan_speed_rpm[idx]
+        fan_prop = None
+        if self._next_fan_min <= t_plus:
+            fan_due = self._next_fan[sel] <= t_plus
+            due_local = np.flatnonzero(fan_due)
+            if due_local.size:
+                due = due_local if whole else idx[due_local]
+                fan_prop = cur_fan.copy()
+                fan_prop[due_local] = self._fan_proposals(due, tmeas[due_local])
+                nxt = self._next_fan[due]
+                interval = self._fan_interval[due]
+                while True:
+                    late = nxt <= t_plus
+                    if not late.any():
+                        break
+                    nxt = np.where(late, nxt + interval, nxt)
+                self._next_fan[due] = nxt
+                self._next_fan_min = float(self._next_fan.min())
+                self._last_fan_prop[sel] = fan_prop
+                self._last_fan_none[sel] = ~fan_due
+        if fan_prop is None:
+            self._last_fan_none[sel] = True
+
+        # Global coordination: Table II codes, with E-coord's own choice
+        # on its rows.
+        if fan_prop is None:
+            # ds == 0 everywhere: Table II's cap column, except that
+            # E-coord refuses a cap-down when not tmeas >= its gate.
+            if self._eco_rows.size:
+                cap_down &= (tmeas >= self._eco_gate_all[sel]) | self._not_eco[sel]
+            action = _TABLE_II[cap_up.view(np.int8) - cap_down.view(np.int8)]
+        else:
+            d_fan = fan_prop - cur_fan
+            ds = (d_fan > _SIGN_TOL).view(np.int8) - (d_fan < -_SIGN_TOL).view(
+                np.int8
             )
-        coord = self._is_coord[idx]
-        take_fan = np.where(
-            coord, (action == _FAN_UP) | (action == _FAN_DOWN), fan_due
-        )
-        take_cap = np.where(
-            coord, (action == _CAP_UP) | (action == _CAP_DOWN), has_capper
-        )
-        new_fan = np.where(take_fan, fan_prop, cur_fan)
-        new_cap = np.where(take_cap, cap_prop, cap)
-        if coord.any():
-            coord_idx = idx[coord]
-            coord_action = action[coord]
-            self._last_action[coord_idx] = coord_action
-            self._action_counts[coord_idx, coord_action] += 1
+            du = cap_up.view(np.int8) - cap_down.view(np.int8)
+            action = _TABLE_II[3 * ds + du]
+            if self._eco_rows.size:
+                local, pos, _ = _locate(
+                    self._eco_rows, self._eco_pos_of, idx, whole
+                )
+                if local.size:
+                    action[local] = self._eco_actions(
+                        pos,
+                        tmeas[local],
+                        ds[local],
+                        du[local],
+                        fan_prop[local],
+                        cur_fan[local],
+                    )
+
+        take_cap = _MOVES_CAP[action]
+        if self._any_apply_all:
+            take_cap |= self._apply_all[sel]
+        self.cpu_cap[sel] = np.where(take_cap, cap_prop, cap)
+        self._last_action[sel] = action
+        self._action_flat[self._action_base[sel] + action] += 1
+
+        new_fan = cur_fan
+        if fan_prop is not None:
+            take_fan = _MOVES_FAN[action]
+            if self._any_apply_all:
+                take_fan |= self._apply_all[sel]
+            new_fan = np.where(take_fan, fan_prop, cur_fan)
 
         # Section V-C: SSfan override after coordination.
-        ss = self._has_ss[idx]
-        if ss.any():
-            assert demand is not None and degradation is not None
-            new_fan[ss] = self._ssfan_override(
-                idx[ss], new_fan[ss], util[ss], demand[ss], degradation[ss]
-            )
+        if ss is not None:
+            local, pos, _ = _locate(ss.rows, ss.pos_of, idx, whole)
+            if local.size and ss.may_act(pos, degradation[local]):
+                predicted = util[local]
+                if sp is not None:
+                    sp_pos = ss.setpoint_pos[pos]
+                    has_sp = sp_pos >= 0
+                    predicted[has_sp] = sp.predicted[sp_pos[has_sp]]
+                if new_fan is cur_fan:
+                    new_fan = cur_fan.copy()
+                new_fan[local] = ss.apply(
+                    pos, new_fan[local], predicted, demand[local], degradation[local]
+                )
 
-        self.fan_speed_rpm[idx] = new_fan
-        self.cpu_cap[idx] = new_cap
-        # notify_applied: clamp into the physical limits.
-        self._applied[idx] = np.minimum(
-            np.maximum(new_fan, self._v_min[idx]), self._v_max[idx]
-        )
+        if new_fan is not cur_fan:
+            if whole:
+                self.fan_speed_rpm = new_fan
+            else:
+                self.fan_speed_rpm[idx] = new_fan
+            # notify_applied: clamp into the physical limits.
+            self._applied[sel] = np.minimum(
+                np.maximum(new_fan, self._v_min[sel]), self._v_max[sel]
+            )
 
     def sync_back(self) -> None:
         """Write the final batch state into the scalar controller objects.
@@ -1200,6 +1102,8 @@ class BatchGlobalController:
         After this, stepping a controller the scalar way continues the
         trajectory exactly where the vectorized run left it.
         """
+        sp_pos = None if self._sp is None else self._sp.pos_of
+        ss_pos = None if self._ss is None else self._ss.pos_of
         for i, controller in enumerate(self._controllers):
             fan = controller.fan_controller
             fan.restore_state(
@@ -1235,23 +1139,10 @@ class BatchGlobalController:
                         for code, action in enumerate(CODE_TO_ACTION)
                     },
                 )
-            single_step = controller.single_step
-            if single_step is not None:
-                single_step.restore_state(
-                    phase=CODE_TO_SS_PHASE[int(self._ss_phase[i])],
-                    periods_in_phase=int(self._ss_periods[i]),
-                    boost_count=int(self._ss_boosts[i]),
-                )
-            setpoint = controller.setpoint
-            if setpoint is not None:
-                count = int(self._sp_count[i])
-                order = (int(self._sp_head[i]) + np.arange(count)) % int(
-                    self._sp_window[i]
-                )
-                setpoint.prediction_filter.restore(
-                    samples=tuple(float(s) for s in self._sp_ring[i, order]),
-                    total=float(self._sp_sum[i]),
-                )
+            if controller.single_step is not None:
+                self._ss.restore(int(ss_pos[i]), controller.single_step)
+            if controller.setpoint is not None:
+                self._sp.restore(int(sp_pos[i]), controller.setpoint)
             controller.restore_decision_state(
                 state=ControlState(
                     fan_speed_rpm=float(self.fan_speed_rpm[i]),

@@ -44,8 +44,8 @@ from repro.fleet import FleetSimulator, Rack, build_fleet_scenario, homogeneous_
 from repro.obs import MonitorConfig, ObsConfig
 from repro.room import RoomSimulator, uniform_room
 from repro.sensing.sensor import TemperatureSensor
-from repro.sim.batch import _CHUNK_STEPS, BatchSensorBank
-from repro.workload.base import Workload
+from repro.sim.batch import _CHUNK_STEPS, BatchSensorBank, BatchStepper
+from repro.sim.fused import FusedStepper
 
 _DT = 0.1
 
@@ -442,15 +442,18 @@ class TestScalarResumeAfterFused:
                 ), f"resumed server {i} channel {name}"
 
 
-class _NanAfter(Workload):
-    """A workload whose demand turns NaN from ``t_nan`` on."""
+def _nan_load_after(advance, t_nan: float):
+    """Wrap a lane's window advance so server 1's applied load is NaN
+    in every window ending at or after ``t_nan``.  The plant itself
+    diverges: demands are validated per chunk, before any window."""
 
-    def __init__(self, inner: Workload, t_nan: float) -> None:
-        self._inner = inner
-        self._t_nan = t_nan
+    def poisoned(self, j, e, applied, times, times_arr, clock):
+        if times[e - 1] >= t_nan:
+            applied = applied.copy()
+            applied[1] = math.nan
+        return advance(self, j, e, applied, times, times_arr, clock)
 
-    def demand(self, t_s: float) -> float:
-        return math.nan if t_s >= self._t_nan else self._inner.demand(t_s)
+    return poisoned
 
 
 class TestDivergenceDetection:
@@ -461,9 +464,12 @@ class TestDivergenceDetection:
     @pytest.mark.parametrize("backend", ["vectorized", "fused"])
     def test_nan_never_reaches_sensing(self, backend, monkeypatch):
         rack = homogeneous_rack(n_servers=4, duration_s=60.0, seed=0)
-        slots = list(rack.slots)
-        slots[1] = replace(slots[1], workload=_NanAfter(slots[1].workload, 20.0))
-        rack = Rack(slots, coupling=rack.coupling, exhaust=rack.exhaust)
+        for lane in (BatchStepper, FusedStepper):
+            monkeypatch.setattr(
+                lane,
+                "_advance_window",
+                _nan_load_after(lane.__dict__["_advance_window"], 20.0),
+            )
         observe = BatchSensorBank.observe
         non_finite = []
 

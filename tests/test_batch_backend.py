@@ -12,6 +12,8 @@ coupling kind.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +26,7 @@ from repro.config import (
     SensingConfig,
     ServerConfig,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UnitsError
 from repro.fleet import (
     FleetSimulator,
     Rack,
@@ -51,6 +53,7 @@ from repro.sim import (
 from repro.sim.batch import BatchStepper
 from repro.thermal.ambient import StepAmbient
 from repro.thermal.server import ServerThermalModel
+from repro.workload.base import Workload
 from repro.workload.spikes import SpikeProcess
 from repro.workload.synthetic import (
     CompositeWorkload,
@@ -663,3 +666,57 @@ class TestWindowScanPin:
                     plant.set_fouling(i % n, level)
                     plant.apply_fan_speed(i % n, float(plant.clamped_speed[i % n]))
             j = e
+
+
+class _DemandTurnsBad(Workload):
+    """Demand 0.5 until t = 5 s, then ``bad`` (outside [0, 1] or NaN)."""
+
+    def __init__(self, bad: float) -> None:
+        self._bad = bad
+
+    def demand(self, t_s: float) -> float:
+        return self._bad if t_s >= 5.0 else 0.5
+
+
+def _bad_demand_spec(workload: Workload) -> BatchRunSpec:
+    cfg = ServerConfig()
+    return BatchRunSpec(
+        plant=build_plant(cfg),
+        sensor=build_sensor(cfg, seed=3),
+        workload=workload,
+        controller=build_global_controller("rcoord", cfg),
+        duration_s=20.0,
+        dt_s=0.1,
+        record_decimation=10,
+    )
+
+
+class TestBadDemand:
+    """Demand outside [0, 1], or NaN, fails with ``UnitsError`` on every
+    lane.  The scalar lane validates each demand it records; the array
+    lanes check each demand chunk before stepping it, naming the first
+    bad server and time."""
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_scalar_lane(self, bad):
+        spec = _bad_demand_spec(_DemandTurnsBad(bad))
+        sim = Simulator(
+            spec.plant,
+            spec.sensor,
+            spec.workload,
+            spec.controller,
+            dt_s=spec.dt_s,
+            record_decimation=spec.record_decimation,
+        )
+        with pytest.raises(UnitsError):
+            sim.run(spec.duration_s)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
+    def test_array_lanes(self, backend, bad):
+        specs = [
+            _bad_demand_spec(ConstantWorkload(0.5)),
+            _bad_demand_spec(_DemandTurnsBad(bad)),
+        ]
+        with pytest.raises(UnitsError, match=r"server 1 demand at t=5 s"):
+            run_batch(specs, backend=backend)

@@ -12,19 +12,28 @@ reason recorded in ``result.extras``.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
 from repro.config import ControlConfig, FleetConfig, ServerConfig
+from repro.core.base import ControlInputs
 from repro.core.cpu_capper import DeadzoneCpuCapper
 from repro.core.ecoord import EnergyAwareCoordinator
 from repro.core.global_controller import GlobalController
 from repro.core.rules import RuleBasedCoordinator
+from repro.core.setpoint import AdaptiveSetpoint
+from repro.core.single_step import SingleStepFanScaling, SingleStepPhase
 from repro.fleet import FleetSimulator, Rack, build_fleet_scenario
 from repro.fleet.rack import ServerSlot
 from repro.sim import (
+    SCHEME_NAMES,
+    BatchGlobalController,
     BatchRunSpec,
     ParameterSweep,
     Simulator,
@@ -35,6 +44,10 @@ from repro.sim import (
     paper_workload,
     run_batch,
 )
+from repro.sim.batch_control import BatchTrackerBank
+from repro.sim.scenarios import build_fan_controller
+from repro.thermal.steady_state import SteadyStateServerModel
+from repro.workload.performance import DeadlineTracker
 from repro.workload.synthetic import NoisyWorkload, SquareWaveWorkload
 
 _N = 4
@@ -327,6 +340,286 @@ class TestHeterogeneousCpuPeriods:
                 )
             assert scalar.performance == vectorized[i].performance
             assert scalar.energy == vectorized[i].energy
+
+
+def _pin_config(fan_interval_s: float) -> ServerConfig:
+    return replace(
+        ServerConfig(),
+        control=replace(ControlConfig(), fan_interval_s=fan_interval_s),
+    )
+
+
+def _pin_rows() -> list[tuple[GlobalController, DeadlineTracker]]:
+    """Scalar (controller, tracker) pairs for one decision-level run.
+
+    Every Table III scheme twice (fan periods of 3, 7 and 30 s, tracker
+    windows of 10 and 4), then: SSfan without A-Tref on a short
+    boost/refractory cycle; A-Tref on a 3-sample window with an SSfan
+    that never triggers (zero threshold); E-coord whose fan-admission
+    gate (84 degC) sits above the deadzone, so it refuses cap-downs
+    between 80 and 84 degC; and rule-based and uncoordinated rows
+    without a capper.  The A-Tref and the capless rule-based rows start
+    with their PID reference moved off the controller's ``T_ref``, so
+    the batch must keep the two apart.
+    """
+    rows = []
+    for k, scheme in enumerate(SCHEME_NAMES * 2):
+        cfg = _pin_config((3.0, 7.0, 30.0)[k % 3])
+        rows.append(
+            (
+                build_global_controller(scheme, cfg),
+                DeadlineTracker(window=(10, 4)[k % 2]),
+            )
+        )
+    cfg = _pin_config(5.0)
+    control = cfg.control
+    steady = SteadyStateServerModel(cfg)
+
+    def capper() -> DeadzoneCpuCapper:
+        return DeadzoneCpuCapper(
+            t_low_c=control.t_low_c,
+            t_high_c=control.t_high_c,
+            step=control.cap_step,
+            cap_min=control.cap_min,
+        )
+
+    extras = (
+        dict(
+            coordinator=RuleBasedCoordinator(),
+            cpu_capper=capper(),
+            single_step=SingleStepFanScaling(
+                steady, max_boost_periods=2, refractory_periods=4
+            ),
+        ),
+        dict(
+            coordinator=RuleBasedCoordinator(),
+            cpu_capper=capper(),
+            setpoint=AdaptiveSetpoint(window=3),
+            single_step=SingleStepFanScaling(steady, degradation_threshold=0.0),
+        ),
+        dict(
+            coordinator=EnergyAwareCoordinator(
+                steady, t_emergency_c=85.0, t_comfort_c=control.t_low_c
+            ),
+            cpu_capper=capper(),
+        ),
+        dict(coordinator=RuleBasedCoordinator()),
+        dict(),
+    )
+    for kwargs in extras:
+        controller = GlobalController(
+            control, fan_controller=build_fan_controller(cfg), **kwargs
+        )
+        rows.append((controller, DeadlineTracker(window=7)))
+    for controller, _ in (rows[-4], rows[-2]):
+        controller.fan_controller.set_reference(72.0)
+    return rows
+
+
+#: Decision-level runs are this many CPU periods long.
+_PIN_PERIODS = 300
+#: Stretch regimes as (tmeas band, demand band); a band of None draws
+#: edges.  Hot stretches cut the cap and deadzone stretches hold it, so
+#: saturating demand then stays above the cap for a while.
+_COOL, _DEAD, _HOT = (60.0, 76.0), (76.0, 80.0), (80.0, 88.0)
+_LIGHT, _MEDIUM, _SATURATING = (0.0, 0.4), (0.3, 0.8), (0.85, 1.0)
+_PIN_REGIMES = (
+    (_COOL, _LIGHT),
+    (_COOL, _SATURATING),
+    (_DEAD, _MEDIUM),
+    (_DEAD, _SATURATING),
+    (_HOT, _SATURATING),
+    (_HOT, _SATURATING),
+    (_HOT, _MEDIUM),
+    (None, _MEDIUM),
+    (None, _SATURATING),
+)
+#: Deadzone edges, the stock and raised E-coord gates.
+_PIN_EDGES = (76.0, 79.0, 80.0, 84.0)
+_PIN_NUDGES = (0.0, 1e-9, -1e-9, 1e-7, -1e-7)
+
+
+def _raw(values) -> list:
+    """Floats as their raw float64 bytes, everything else as is."""
+    out = []
+    for value in values:
+        if isinstance(value, float):
+            out.append(struct.pack("<d", value))
+        elif isinstance(value, (tuple, list)):
+            out.append(_raw(value))
+        else:
+            out.append(value)
+    return out
+
+
+def _synced_fields(controller: GlobalController, tracker: DeadlineTracker):
+    """Every field sync-back writes, in comparable raw form."""
+    fan = controller.fan_controller
+    pid = fan.pid
+    fields = [
+        controller.state.fan_speed_rpm,
+        controller.state.cpu_cap,
+        controller.t_ref_c,
+        controller.next_fan_decision_s,
+        controller.last_proposals,
+        fan.applied_speed_rpm,
+        fan.region_index,
+        (pid.gains.kp, pid.gains.ki, pid.gains.kd),
+        pid.setpoint,
+        pid.output_offset,
+        pid.integral,
+        pid.prev_error,
+        pid.last_output,
+    ]
+    if fan.quantization_guard is not None:
+        fields.append(fan.quantization_guard.hold_count)
+    coordinator = controller.coordinator
+    if isinstance(coordinator, (RuleBasedCoordinator, EnergyAwareCoordinator)):
+        fields.append(coordinator.last_action)
+        fields.append(tuple(coordinator.action_counts.items()))
+    if controller.single_step is not None:
+        ss = controller.single_step
+        fields.append((ss.phase, ss.periods_in_phase, ss.boost_count))
+    if controller.setpoint is not None:
+        flt = controller.setpoint.prediction_filter
+        fields.append((flt.samples, flt.running_sum))
+    summary = tracker.summary
+    fields.append(
+        (
+            summary.periods,
+            summary.violations,
+            summary.lost_utilization,
+            summary.demanded_utilization,
+            tracker.recent_gaps,
+        )
+    )
+    return _raw(fields)
+
+
+def _pin_run(seed: int, subset_share: float) -> dict[str, int]:
+    """Drive the array controller and tracker bank against scalar twins
+    period by period; returns counts of what the run exercised."""
+    rng = np.random.default_rng(seed)
+    scalar = _pin_rows()
+    twins = _pin_rows()
+    ctrl = BatchGlobalController([c for c, _ in twins])
+    bank = BatchTrackerBank([tr for _, tr in twins])
+    n = len(scalar)
+    all_idx = np.arange(n)
+    seen = {"subset_steps": 0, "active_ss_rows": 0, "ecoord_refusals": 0}
+    stretch = 0
+    for k in range(1, _PIN_PERIODS + 1):
+        if stretch == 0:
+            stretch = int(rng.integers(5, 40))
+            band, demand_band = _PIN_REGIMES[int(rng.integers(len(_PIN_REGIMES)))]
+        stretch -= 1
+        t = float(k)
+        tmeas = rng.uniform(*(band or _DEAD), n)
+        # Edges: the deadzone and E-coord gates, and each row's guard
+        # deadband around its current T_ref (one LSB), nudged by +-ulps.
+        edgy = rng.random(n) < (0.1 if band else 0.8)
+        for i in np.flatnonzero(edgy):
+            edges = _PIN_EDGES + (ctrl.t_ref_c[i] - 1.0, ctrl.t_ref_c[i] + 1.0)
+            tmeas[i] = edges[int(rng.integers(len(edges)))] + _PIN_NUDGES[
+                int(rng.integers(len(_PIN_NUDGES)))
+            ]
+        demand = np.clip(rng.uniform(*demand_band, n), 0.0, 1.0)
+        if rng.random() < subset_share:
+            size = int(rng.integers(1, n))
+            idx = np.sort(rng.choice(n, size=size, replace=False))
+            seen["subset_steps"] += 1
+        else:
+            idx = all_idx
+
+        cap = ctrl.cpu_cap[idx]
+        bank.record(idx, demand[idx], cap)
+        degradation = (
+            bank.recent_degradation_all()
+            if idx.size == n
+            else bank.recent_degradation(idx)
+        )
+        ctrl.step_due(
+            idx, t, tmeas[idx], np.minimum(demand[idx], cap), demand[idx],
+            degradation,
+        )
+        for i in idx:
+            controller, tracker = scalar[i]
+            d = float(demand[i])
+            cap_i = controller.state.cpu_cap
+            tracker.record(d, cap_i)
+            refusable = (
+                isinstance(controller.coordinator, EnergyAwareCoordinator)
+                and controller.cpu_capper.propose(t, float(tmeas[i]), cap_i) < cap_i
+            )
+            controller.step(
+                ControlInputs(
+                    time_s=t,
+                    tmeas_c=float(tmeas[i]),
+                    measured_util=min(d, cap_i),
+                    recent_degradation=tracker.recent_degradation,
+                    demand_estimate=d,
+                )
+            )
+            if refusable and controller.state.cpu_cap == cap_i:
+                seen["ecoord_refusals"] += 1
+            ss = controller.single_step
+            if ss is not None and ss.phase is not SingleStepPhase.INACTIVE:
+                seen["active_ss_rows"] += 1
+
+        for name, batch, scalar_values in (
+            ("fan", ctrl.fan_speed_rpm, [c.state.fan_speed_rpm for c, _ in scalar]),
+            ("cap", ctrl.cpu_cap, [c.state.cpu_cap for c, _ in scalar]),
+            ("t_ref", ctrl.t_ref_c, [c.t_ref_c for c, _ in scalar]),
+            (
+                "degradation",
+                bank.recent_degradation_all(),
+                [tr.recent_degradation for _, tr in scalar],
+            ),
+        ):
+            assert batch.tobytes() == np.array(scalar_values).tobytes(), (
+                f"period {k}: {name} diverged"
+            )
+
+    ctrl.sync_back()
+    bank.sync_back()
+    for i, ((cs, ts), (cv, tv)) in enumerate(zip(scalar, twins)):
+        assert _synced_fields(cs, ts) == _synced_fields(cv, tv), f"row {i}"
+    seen["boosts"] = sum(
+        c.single_step.boost_count for c, _ in scalar if c.single_step is not None
+    )
+    return seen
+
+
+class TestDecisionLevelPin:
+    """:class:`BatchGlobalController` and :class:`BatchTrackerBank`
+    against per-row scalar twins, decision by decision, with no plant or
+    sensors in the loop.  Inputs cross the deadzone edges, the guard
+    deadband and the E-coord gates, and saturating demand against a
+    falling cap drives SSfan through boosts, max-boost expiry and
+    refractory landings, on whole-batch periods and due subsets alike.
+    After every period the knobs, T_ref and the recent degradation
+    match as raw float64 bytes; at the end, every synced-back field."""
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        subset_share=st.sampled_from((0.0, 0.3, 0.7)),
+    )
+    def test_decisions_match_scalar_twins(self, seed, subset_share):
+        _pin_run(seed, subset_share)
+
+    def test_pin_reaches_the_quiet_period_exits(self):
+        """The generator really leaves the quiet paths: SSfan boosts and
+        stays active on subset steps, and E-coord refuses cap-downs."""
+        seen = _pin_run(seed=20, subset_share=0.3)
+        assert seen["subset_steps"] >= 50
+        assert seen["boosts"] >= 3
+        assert seen["active_ss_rows"] >= 30
+        assert seen["ecoord_refusals"] >= 5
 
 
 class TestUnsupportedReasons:
