@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the model's design choices.
 
 * Eqn 10 quantization guard on/off (Section IV-C),
 * measurement-lag sweep (the paper's core non-ideality),
@@ -158,9 +158,10 @@ def test_ablation_region_count(benchmark):
 def test_ablation_tuning_signal(benchmark):
     """Ultimate-gain search on the quantized vs the ideal (lag-only) loop.
 
-    DESIGN.md: searching on the quantized loop finds the quantization
-    limit cycle first, which collapses the ~8x inter-region Ku ratio the
-    Section IV-B adaptive scheme is built on.
+    As :mod:`repro.core.tuning` explains, searching on the quantized
+    loop finds the quantization limit cycle first, which collapses the
+    ~8x inter-region Ku ratio the Section IV-B adaptive scheme is built
+    on.
     """
     from repro.core.tuning import find_ultimate_gain
 

@@ -15,8 +15,9 @@ Quickstart::
     result = run_scheme("rcoord_atref_ssfan", duration_s=1800.0, seed=1)
     print(result.summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured comparison of every table and figure.
+See docs/architecture.md for the system inventory; each script in
+:mod:`repro.experiments` prints the paper-vs-measured comparison of its
+table or figure.
 """
 
 from repro.config import (

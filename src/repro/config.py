@@ -5,8 +5,8 @@ experimental setup of Section VI-A.  All experiments in
 :mod:`repro.experiments` start from :func:`default_server_config` and vary
 only what the corresponding figure/table varies.
 
-Parameters the paper does not state (marked in comments) are documented in
-DESIGN.md with the rationale for the chosen value.
+Parameters the paper does not state are marked in comments, each with
+the rationale for the chosen value.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DieConfig:
 
     Table I gives the die time constant (0.1 s).  The junction-to-heatsink
     resistance is not stated in the paper; 0.15 K/W places the operating
-    points of Figs 3-5 in their plotted ranges (see DESIGN.md).
+    points of Figs 3-5 in their plotted ranges.
     """
 
     time_constant_s: float = 0.1
@@ -169,7 +169,7 @@ class ControlConfig:
     t_high_c: float = 80.0
     t_critical_c: float = 80.0
     #: Cap adjustment per CPU control period.  2% per second both cuts and
-    #: recovers smoothly; see DESIGN.md for the calibration notes.
+    #: recovers smoothly.
     cap_step: float = 0.02
     cap_min: float = 0.1
 
@@ -397,7 +397,7 @@ class ServerConfig:
     sensing: SensingConfig = field(default_factory=SensingConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
     #: Not in Table I; 28 degC puts the fan operating range for the paper's
-    #: workloads across the 2000-6000 rpm region span of Fig. 3 (DESIGN.md).
+    #: workloads across the 2000-6000 rpm region span of Fig. 3.
     ambient_c: float = 28.0
     n_sockets: int = 1
 

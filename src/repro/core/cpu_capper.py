@@ -9,7 +9,7 @@ inside the zone.
 Note: the paper's prose states the direction inverted ("u_cpu is only
 increased when T_meas is higher than T_high_th"); taken literally that is
 positive thermal feedback and diverges.  We implement the standard,
-thermally stabilizing direction (documented in DESIGN.md).
+thermally stabilizing direction.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ Because the LSB granularity is handled separately (Eqn 10 hold + deadband
 error shaping in the fan controller), the shipped gain rule must satisfy
 the capture bound ``KP * T_Q <= hold-window width in rpm``; the classic
 0.6-Ku rule violates it ~3x on this plant, so :func:`tune_region`
-defaults to the no-overshoot variant (``KP = 0.2 Ku``).  See DESIGN.md.
+defaults to the no-overshoot variant (``KP = 0.2 Ku``).
 """
 
 from __future__ import annotations
@@ -510,7 +510,7 @@ def tune_region(
     1 degC LSB the controller must satisfy the capture bound
     ``KP * T_Q <= deadband width in rpm`` or it hops across the Eqn 10
     hold window forever, and the classic 0.6-Ku rule violates that bound
-    by ~3x on this plant (see DESIGN.md).  The SASO tuning freedom the
+    by ~3x on this plant.  The SASO tuning freedom the
     paper invokes [9], [21] explicitly covers choosing the variant.
     """
     ultimate = find_ultimate_gain(config, fan_speed_rpm, utilization)

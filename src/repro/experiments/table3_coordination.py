@@ -3,9 +3,9 @@
 Runs the Section VI-A workload through all coordination schemes and
 reports the two Table III columns, with the paper's published values
 alongside.  The reproduction criterion is the *shape*: the ordering of
-schemes on both columns and the rough factors between them (see
-EXPERIMENTS.md); absolute numbers depend on workload randomness and the
-parameters the paper does not publish.
+schemes on both columns and the rough factors between them (the
+``checks`` of :func:`run`); absolute numbers depend on workload
+randomness and the parameters the paper does not publish.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ def run(
     checks = {
         # Violation ordering (Table III column 2).  R-coord's standalone
         # advantage over the uncoordinated baseline is within seed noise
-        # in this reproduction (see EXPERIMENTS.md), so it is checked with
-        # a tolerance; the full-scheme improvement is checked strictly.
+        # in this reproduction (over seeds 1-30 the mean per-seed
+        # difference is -0.08 pp, and R-coord is worse on 10 of them), so
+        # it is checked with a tolerance; the full-scheme improvement is
+        # checked strictly.
         "ecoord_worst_violations": v["ecoord"] > v["uncoordinated"],
         "rcoord_no_worse_than_baseline": v["rcoord"]
         < v["uncoordinated"] + 3.0,

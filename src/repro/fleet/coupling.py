@@ -10,9 +10,10 @@ instead of returning to the CRAC.  This module provides the two halves:
   floored so the rise stays bounded at low speeds.
 * :class:`CouplingOperator` - the linear-operator contract every
   coupling representation implements: map per-server exhaust rises to
-  per-server inlet offsets.  Simulation drivers (``Rack.update_inlets``,
-  the batch backend's per-``dt`` coupling step) only ever call
-  :meth:`CouplingOperator.apply`, so dense rack matrices and the
+  per-server inlet offsets.  Simulation drivers only ever call
+  :meth:`CouplingOperator.apply` - ``Rack.update_inlets`` with one
+  step's rises, the exact batch lane with a control window's ``(w, N)``
+  block of rises, one row per step - so dense rack matrices and the
   room-scale block-sparse operator (:class:`repro.room.coupling.
   SparseCoupling`) are interchangeable.
 * :class:`RecirculationMatrix` - the dense operator: a nonnegative
@@ -125,9 +126,13 @@ class CouplingOperator(ABC):
 
     The contract every coupling representation satisfies:
 
-    * :meth:`apply` is the validation-free hot path the simulation loops
-      call once per step; it must run the same floating-point operations
-      every time so backends stay deterministic.
+    * :meth:`apply` is the validation-free hot path.  It takes one
+      step's ``(N,)`` rises (the scalar lane, once per step) or a ``(w,
+      N)`` block with one row per step (the exact batch lane, once per
+      control window) and returns the same shape.  Row ``k`` of a block
+      must equal ``apply(rises[k])`` byte for byte, and a stateful
+      operator advances once per row, in row order, so both call
+      patterns run the same floating-point operations.
     * :meth:`to_dense` materializes the equivalent dense matrix ``M``
       with ``apply(r) ~= M @ r`` (used for equivalence tests and for
       composing operators into larger block structures).
@@ -148,7 +153,7 @@ class CouplingOperator(ABC):
 
     @abstractmethod
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
-        """Inlet offsets from exhaust rises; no validation (hot path)."""
+        """Inlet offsets from ``(N,)`` or ``(w, N)`` rises; no validation."""
 
     @abstractmethod
     def to_dense(self) -> np.ndarray:
@@ -175,18 +180,16 @@ class CouplingOperator(ABC):
         """Apply the operator to a ``(n_servers, w)`` window of rises.
 
         Column ``j`` of the result is ``apply(rises_c[:, j])``.  The
-        base implementation loops the columns through :meth:`apply`,
-        which keeps *stateful* operators exact - a dynamic supply
-        filter advances once per column, just as it advances once per
-        step on the scalar and vectorized lanes.  Purely linear
-        subclasses override this with one batched matmul; the fused
-        backend calls it once per control window instead of once per
-        ``dt``.
+        base implementation hands the columns to :meth:`apply` as one
+        ``(w, N)`` block, which keeps *stateful* operators exact - a
+        dynamic supply filter advances once per column, just as it
+        advances once per step on the scalar and vectorized lanes.
+        Purely linear subclasses override this with one batched gemm,
+        which the fused backend calls once per control window.
         """
-        out = np.empty_like(rises_c)
-        for j in range(rises_c.shape[1]):
-            out[:, j] = self.apply(rises_c[:, j])
-        return out
+        return np.ascontiguousarray(
+            self.apply(np.ascontiguousarray(rises_c.T)).T
+        )
 
 
 class RecirculationMatrix(CouplingOperator):
@@ -253,8 +256,15 @@ class RecirculationMatrix(CouplingOperator):
         return not np.any(self._m)
 
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
-        """``M @ rises`` with no validation (the per-step hot path)."""
-        return self._m @ rises_c
+        """``M @ rises`` per step, with no validation (the hot path).
+
+        A ``(w, n)`` block runs one stacked matmul over ``(w, n, 1)``:
+        NumPy hands each row to the same BLAS gemv ``M @ rises[k]``
+        runs, so row ``k`` equals the one-step result bit for bit.
+        """
+        if rises_c.ndim == 1:
+            return self._m @ rises_c
+        return np.matmul(self._m, rises_c[..., None])[..., 0]
 
     def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
         """``M @ rises`` on a whole ``(n, w)`` window as one gemm."""

@@ -443,7 +443,13 @@ class ObsCollector:
     # Streaming
 
     def emit_snapshot(self, sim_time_s: float, kind: str = "metrics") -> None:
-        """Emit one metrics record to the sink."""
+        """Emit one metrics record to the sink.
+
+        The batch lanes' held monitor samples are swept first, so the
+        record carries every incident opened up to its instant.
+        """
+        if self.monitor is not None:
+            self.monitor.flush()
         record = {
             "type": kind,
             "label": self.label,

@@ -54,6 +54,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ObsError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (collector -> config)
@@ -253,8 +255,11 @@ class HealthMonitor:
     it one sample per server at each due instant, then ``commit`` the
     sample to run rack-scope checks and advance the cadence.  Scalar
     lanes call :meth:`sample_server` per stepper and let the *last*
-    stepper commit; batch lanes call :meth:`ingest_batch`, which samples
-    every server in index order and commits -- the same incident append
+    stepper commit.  Batch lanes :meth:`hold` each due sample, which
+    advances the cadence at once, and sweep the held samples once per
+    chunk (:meth:`flush`, which the collector also calls before every
+    snapshot): :meth:`ingest_batch` runs every server in index order,
+    then the rack checks, sample by sample -- the same incident append
     order either way.
     """
 
@@ -285,6 +290,10 @@ class HealthMonitor:
         self.incidents: list[dict] = []
         self.next_due_s = start_s + config.sample_every_s
         self._every = config.sample_every_s
+        # Batch-lane samples held for the next flush: their instants and
+        # one (tmeas, fan, applied) row of 3n floats each.
+        self._held_t: list[float] = []
+        self._held: list[Any] = []
 
         # Lag alignment for the stuck gate: the reading reflects the
         # junction ``lag_s`` ago, so "power moved while frozen" must
@@ -563,39 +572,80 @@ class HealthMonitor:
 
     def commit(self, t: float) -> None:
         """Finish the sample at *t*: rack checks, then advance the cadence."""
+        self._check_racks(t)
+        self._advance(t)
+
+    def _check_racks(self, t: float) -> None:
+        """The rack-scope supply checks of the sample at *t*."""
         threshold = self._sup_threshold
-        if threshold is not None:
-            for r, (base, windows) in enumerate(self._racks):
-                supply = base
-                for start_s, end_s, magnitude in windows:
-                    if start_s <= t + _EPS < end_s:
-                        supply += magnitude
-                inc = self._sup_open[r]
-                if supply >= threshold:
-                    if inc is None:
-                        self._sup_open[r] = self._open(
-                            "supply_margin", "warning", f"rack:{r}", t, supply
-                        )
-                elif inc is not None:
-                    self._close(inc, t)
-                    self._sup_open[r] = None
+        if threshold is None:
+            return
+        for r, (base, windows) in enumerate(self._racks):
+            supply = base
+            for start_s, end_s, magnitude in windows:
+                if start_s <= t + _EPS < end_s:
+                    supply += magnitude
+            inc = self._sup_open[r]
+            if supply >= threshold:
+                if inc is None:
+                    self._sup_open[r] = self._open(
+                        "supply_margin", "warning", f"rack:{r}", t, supply
+                    )
+            elif inc is not None:
+                self._close(inc, t)
+                self._sup_open[r] = None
+
+    def _advance(self, t: float) -> None:
+        """Move the next due instant past *t*, one chained add per period."""
         due = self.next_due_s
         t_plus = t + _EPS
         while due <= t_plus:
             due += self._every
         self.next_due_s = due
 
-    def ingest_batch(self, t: float, tmeas, fan_cmd, applied) -> None:
-        """Batch-lane entry point: sample every server, then commit.
+    def hold(self, t: float, tmeas, fan_cmd, applied) -> None:
+        """Batch-lane sample at a due instant, swept at the next :meth:`flush`.
 
-        Array entries are converted to python floats (``tolist`` - one
-        bulk conversion, not N scalar indexings) so the detector
-        arithmetic is bitwise-identical to the scalar lane.
+        Copies the three ``(n,)`` decision channels and advances the
+        cadence now, with :meth:`commit`'s float chain, so the next due
+        instant is known before the detectors run.
         """
-        self._sample_rows(
-            t, zip(self._servers, tmeas.tolist(), fan_cmd.tolist(), applied.tolist())
-        )
-        self.commit(t)
+        self._held_t.append(t)
+        self._held.append(np.concatenate((tmeas, fan_cmd, applied)))
+        self._advance(t)
+
+    def flush(self) -> None:
+        """Sweep the held samples in sample order (:meth:`ingest_batch`).
+
+        Batch lanes call this at every chunk end, and the collector
+        before every snapshot, so streamed records see each sample taken
+        up to their instant.
+        """
+        if self._held_t:
+            times, rows = self._held_t, np.array(self._held)
+            self._held_t, self._held = [], []
+            n = self._n
+            self.ingest_batch(
+                times, rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+            )
+
+    def ingest_batch(self, times, tmeas, fan_cmd, applied) -> None:
+        """Batch-lane detector sweep over ``(k, n)`` rows sampled at *times*.
+
+        Runs each sample in order: every server in index order, then the
+        rack checks -- :meth:`sample_server` plus :meth:`commit` without
+        the cadence, which :meth:`hold` already advanced.  Array entries
+        are converted to python floats (``tolist`` - one bulk conversion
+        per channel, not ``k * n`` scalar indexings) so the detector
+        arithmetic is bitwise-identical to the scalar lane, and the
+        detector records stay cache-hot across the samples.
+        """
+        servers = self._servers
+        for t, tm, fan, util in zip(
+            times, tmeas.tolist(), fan_cmd.tolist(), applied.tolist()
+        ):
+            self._sample_rows(t, zip(servers, tm, fan, util))
+            self._check_racks(t)
 
 
 def _controller_interval(controller: Any, name: str, default: float) -> float:

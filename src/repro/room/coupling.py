@@ -23,16 +23,21 @@ make), the constructor stacks those blocks into a **block plan**: the
 diagonal blocks as one ``(R, B, B)`` array, and the cross blocks in
 rounds whose destination racks are distinct.  :meth:`~SparseCoupling.
 apply` then runs one stacked matmul plus one gathered stacked matmul
-per round instead of a Python loop over racks and pairs, and
-:meth:`~SparseCoupling.apply_window` runs the same plan on a whole
-``(N, w)`` window.  NumPy hands each ``(B, B)`` slice of a stacked
-matmul to the same BLAS gemv (or gemm, for a window) the per-rack loop
-calls, and each rack sums its cross terms in the same order, so the
-plan's floats equal the loop's bit for bit.  With no cross blocks and
-no low-rank term each rack's offsets are therefore computed by *the
-same gemv on the same values* as a standalone dense rack, which is what
-makes a zero-inter-rack room bit-for-bit equal to independent per-rack
-runs.  Racks of different widths run the per-rack loop itself.
+per round instead of a Python loop over racks and pairs.  It takes one
+step's ``(N,)`` rises (the scalar lane) or a ``(w, N)`` block with one
+row per step (the exact batch lane, once per control window), viewed as
+``(w, R, B, 1)``: the same plan, with the diagonal stack broadcast over
+the steps.  :meth:`~SparseCoupling.apply_window` runs the plan on a
+whole ``(N, w)`` window as gemms for the fused lane.  NumPy hands each
+``(B, B) @ (B, 1)`` slice of a stacked matmul to the same BLAS gemv the
+per-rack loop calls (and each ``(B, w)`` slice to the same gemm), and
+each rack sums its cross terms in the same order, so the plan's floats
+equal the loop's bit for bit, and every row of a block equals its
+one-step call.  With no cross blocks and no low-rank term each rack's
+offsets are therefore computed by *the same gemv on the same values* as
+a standalone dense rack, which is what makes a zero-inter-rack room
+bit-for-bit equal to independent per-rack runs.  Racks of different
+widths run the per-rack loop itself, with one stacked matmul per block.
 """
 
 from __future__ import annotations
@@ -80,9 +85,10 @@ class SparseCoupling(CouplingOperator):
     feedback_tau:
         Optional ``(K,)`` per-row first-order time constants turning the
         low-rank term into a **dynamic supply filter**: each row carries
-        an RC state ``s_k`` advanced once per :meth:`apply` call (one
-        simulation step) toward ``mix[k] @ rises + forcing_k``, and the
-        output becomes ``gain.T @ s``.  ``tau = 0`` rows settle
+        an RC state ``s_k`` advanced once per simulation step (once per
+        :meth:`apply` call on one step's rises, once per row of a
+        block) toward ``mix[k] @ rises + forcing_k``, and the output
+        becomes ``gain.T @ s``.  ``tau = 0`` rows settle
         instantly, reproducing the static term bit for bit, so the
         static model is exactly the all-zero limit.  Dynamic operators
         must be armed with :meth:`prepare_run` before stepping.
@@ -408,85 +414,102 @@ class SparseCoupling(CouplingOperator):
     # ------------------------------------------------------------------
     # The operator
 
-    def _block_terms(self, rises_c: np.ndarray) -> np.ndarray:
-        """Diagonal plus cross terms for ``(N,)`` rises or an ``(N, w)`` window.
+    def _block_terms(self, x: np.ndarray) -> np.ndarray:
+        """Diagonal plus cross terms for rises laid out as ``(L, N, c)``.
 
+        ``(w, N, 1)`` is a block of ``w`` steps, one gemv per slice;
+        ``(1, N, w)`` is the fused lane's window, one gemm per slice.
         With the block plan: one stacked matmul of the diagonal blocks
-        over ``rises`` viewed as ``(R, B, w)`` (``w = 1`` for a vector),
-        then per round one gathered stacked matmul added into the
-        round's destination racks.  Each ``(B, B) @ (B, 1)`` slice runs
-        the same BLAS gemv as ``block @ rises[start:stop]`` and each
-        ``(B, w)`` slice the same gemm as ``block @ rises[start:stop,
-        :]``, so the floats equal the per-rack loop's bit for bit.
+        over ``x`` viewed as ``(L, R, B, c)``, then per round one
+        gathered stacked matmul added into the round's destination
+        racks.  Each ``(B, B) @ (B, 1)`` slice runs the same BLAS gemv
+        as ``block @ rises[start:stop]`` and each ``(B, w)`` slice the
+        same gemm as ``block @ rises[start:stop, :]``, so the floats
+        equal the per-rack loop's bit for bit.
         """
-        out = np.empty(rises_c.shape)
+        out = np.empty(x.shape)
         diag = self._diag
         if diag is None:
-            for start, stop, block in zip(self._starts, self._stops, self._blocks):
-                out[start:stop] = block @ rises_c[start:stop]
+            starts, stops = self._starts, self._stops
+            for start, stop, block in zip(starts, stops, self._blocks):
+                out[:, start:stop] = np.matmul(block, x[:, start:stop])
             for (dst, src), matrix in self._cross.items():
-                out[self._starts[dst] : self._stops[dst]] += (
-                    matrix @ rises_c[self._starts[src] : self._stops[src]]
+                out[:, starts[dst] : stops[dst]] += np.matmul(
+                    matrix, x[:, starts[src] : stops[src]]
                 )
             return out
+        lead, _, c = x.shape
         r, b, _ = diag.shape
-        shape = (r, b, 1 if rises_c.ndim == 1 else rises_c.shape[1])
-        x = rises_c.reshape(shape)
-        y = out.reshape(shape)
-        np.matmul(diag, x, out=y)
+        xv = x.reshape(lead, r, b, c)
+        y = out.reshape(lead, r, b, c)
+        np.matmul(diag, xv, out=y)
         for dst, src, stack in self._rounds:
-            y[dst] += np.matmul(stack, x[src])
+            y[:, dst] += np.matmul(stack, xv[:, src])
         return out
 
     def apply(self, rises_c: np.ndarray) -> np.ndarray:
         """Block-sparse mat-vec (plus the low-rank term); no validation.
 
-        Runs the block plan on ``rises`` viewed as ``(R, B, 1)``: one
-        stacked matmul of the diagonal blocks, one gathered stacked
-        matmul and one add per cross-block round, then the low-rank
-        term.  Every slice is the gemv a per-rack ``block @
-        rises[slice]`` runs, so zero-inter-rack rooms stay bit-for-bit
-        equal to independent per-rack simulations.  Racks of different
-        widths run that per-rack loop itself.
+        Takes one step's ``(N,)`` rises or a ``(w, N)`` block with one
+        row per step, and runs the block plan on it viewed as ``(w, R,
+        B, 1)`` (``w = 1`` for one step): one stacked matmul of the
+        diagonal blocks, one gathered stacked matmul and one add per
+        cross-block round, then the low-rank term as two stacked gemvs.
+        Every slice is the gemv a per-rack ``block @ rises[slice]``
+        runs, so zero-inter-rack rooms stay bit-for-bit equal to
+        independent per-rack simulations, and row ``k`` of a block
+        equals ``apply(rises[k])``.  Racks of different widths run that
+        per-rack loop itself.
 
-        Dynamic operators advance their supply-filter states here (one
-        call = one simulation step, which both execution lanes honour);
-        ``tau = 0`` rows settle to their target each step, making the
-        static term the exact all-zero-tau limit: ``target + (state -
-        target) * 0.0`` is bitwise ``target`` for finite values.
+        Dynamic operators advance their supply-filter states here, once
+        per step: the block's targets come from one stacked gemv, then
+        the states step row by row in row order; ``tau = 0`` rows
+        settle to their target each step, making the static term the
+        exact all-zero-tau limit: ``target + (state - target) * 0.0`` is
+        bitwise ``target`` for finite values.
         """
-        out = self._block_terms(rises_c)
+        # One step is a block of one: (w, N, 1), one gemv per slice.
+        x = rises_c.reshape(-1, self._n, 1)
+        out = self._block_terms(x)
         if self._gain is not None:
+            gain_t = self._gain.T
             if self._tau is None:
-                out += self._gain.T @ (self._mix @ rises_c)
+                out += np.matmul(gain_t, np.matmul(self._mix, x))
             else:
                 if self._decay is None:
                     raise RoomError(
                         "dynamic coupling needs prepare_run(dt_s) before apply"
                     )
-                target = self._mix @ rises_c + self._forcing
-                self._states = target + (self._states - target) * self._decay
-                out += self._gain.T @ self._states
-        return out
+                targets = np.matmul(self._mix, x)[..., 0]
+                targets += self._forcing
+                states = np.empty(targets.shape)
+                s, decay = self._states, self._decay
+                for k, target in enumerate(targets):
+                    s = states[k] = target + (s - target) * decay
+                self._states = s
+                out += np.matmul(gain_t, states[..., None])
+        return out.reshape(rises_c.shape)
 
     def apply_window(self, rises_c: np.ndarray) -> np.ndarray:
         """Block-sparse mat-*mat* over a ``(N, w)`` window of rises.
 
-        The static operator is linear, so a whole control window runs
-        the same block plan as :meth:`apply` on ``(R, B, w)``: one
-        stacked gemm per rack, one gathered stacked gemm per cross-block
-        round, and two gemms for the low-rank term.  Each slice is the
-        gemm a per-block ``matrix @ rises[rows]`` runs.  A gemm column
-        is not bitwise a gemv, which is why the exact lane keeps calling
-        :meth:`apply` once per step.
+        The fused lane's path.  The static operator is linear, so a
+        whole control window runs the same block plan as :meth:`apply`
+        on ``(R, B, w)``: one stacked gemm per rack, one gathered
+        stacked gemm per cross-block round, and two gemms for the
+        low-rank term.  Each slice is the gemm a per-block ``matrix @
+        rises[rows]`` runs.  A gemm column is not bitwise a gemv, which
+        is why the exact lane calls :meth:`apply` on a ``(w, N)`` block
+        instead.
 
         Dynamic operators carry supply-filter state that must advance
-        once per step, so they take the base class's per-column path -
-        same states, same order, same floats as stepping :meth:`apply`.
+        once per step, so they take the base class's path - one
+        :meth:`apply` on the transposed block: same states, same order,
+        same floats as stepping :meth:`apply` per column.
         """
         if self._tau is not None:
             return CouplingOperator.apply_window(self, rises_c)
-        out = self._block_terms(rises_c)
+        out = self._block_terms(rises_c[None])[0]
         if self._gain is not None:
             out += self._gain.T @ (self._mix @ rises_c)
         return out

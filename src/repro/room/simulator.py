@@ -241,10 +241,12 @@ class _LockstepDriver:
                 server_index=index,
                 obs=obs,
                 # All steppers share one per-step due instant; only the
-                # last commits the monitor sample, so rack-scope checks
-                # and the cadence advance run once per step - the same
-                # append order the batch lanes produce.
-                monitor_commit=(index == n - 1),
+                # last closes the step: it commits the monitor sample, so
+                # rack-scope checks and the cadence advance run once per
+                # step, and ticks the collector once for all n servers,
+                # so snapshots land after the whole step, as on the
+                # batch lanes.
+                lockstep_width=n if index == n - 1 else 0,
             )
             for index, (slot, tracker) in enumerate(zip(self._slots, trackers))
         ]

@@ -20,6 +20,7 @@ equality.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from typing import Any
@@ -43,6 +44,22 @@ _STEPPERS = {
 #: grow to at most this factor before the scan restarts from carried
 #: state (bounds the cumulative sum's relative error near 1e-10).
 SPAN_TARGET_LOG = math.log(1e6)
+
+#: Widest single block whose cumulative sum runs as one matmul with an
+#: upper-triangular ones matrix (``O(w**2)`` work per row, so wider
+#: blocks accumulate instead).  Control windows are about 10 steps.
+_CUMSUM_MATMUL_MAX_W = 64
+
+
+@functools.lru_cache(maxsize=_CUMSUM_MATMUL_MAX_W)
+def _cumsum_op(w: int) -> np.ndarray:
+    """The read-only ``(w, w)`` upper-triangular ones matrix.
+
+    ``f @ _cumsum_op(w)`` is the running sum of ``f`` along its columns.
+    """
+    op = np.triu(np.ones((w, w)))
+    op.flags.writeable = False
+    return op
 
 
 def batch_stepper(backend: str) -> tuple[str, Any]:
@@ -97,7 +114,8 @@ def exp_scan_numpy(
 
     Solves ``x_J = a^J x_0 + sum_{i<J} a^(J-1-i) (1-a) s_i`` for
     ``J = 1..w`` (the recurrence ``x <- s + (x - s) a``) as one
-    cumulative sum per block::
+    cumulative sum per block (a matmul with a triangular ones matrix for
+    a short single block)::
 
         C_J = sum_{i<J} s_i * geom_i      (cumsum along the window)
         x_J = a^J x_0 + a^(J-1) C_J
@@ -110,14 +128,16 @@ def exp_scan_numpy(
     cancels.
     """
     n, w = forcing.shape
-    # np.add.accumulate is the cumulative sum np.cumsum computes, without
-    # np.cumsum's wrapper, which costs about 40% of a (16, 10) block's sum.
-    if w <= span:
-        # Single block (the per-control-window common case).
-        c = np.add.accumulate(forcing * geom[:, :w], axis=1)
+    if w <= span and w <= _CUMSUM_MATMUL_MAX_W:
+        # Single block (the per-control-window common case): the
+        # cumulative sum is one gemm with the triangular ones matrix,
+        # several times cheaper than accumulating along the short axis.
+        c = (forcing * geom[:, :w]) @ _cumsum_op(w)
         np.multiply(powers[:, :w], c, out=c)
         c += powers[:, 1 : w + 1] * x0[:, None]
         return c
+    # np.add.accumulate is the cumulative sum np.cumsum computes, without
+    # np.cumsum's wrapper, which costs about 40% of a (16, 10) block's sum.
     out = np.empty((n, w))
     lo = 0
     x = x0

@@ -530,9 +530,10 @@ class BatchStepper:
         # so instrumented batches stay bit-for-bit identical.
         self._obs = obs
         # Health monitoring: armed on the collector by the simulator
-        # before stepper construction.  ingest_batch casts array entries
-        # to python floats and runs the scalar detector code, so the
-        # incident list is identical to the scalar lane's.
+        # before stepper construction.  Due samples are held and swept
+        # once per chunk (and before every snapshot); the sweep casts
+        # array entries to python floats and runs the scalar detector
+        # code, so the incident list is identical to the scalar lane's.
         self._monitor = None if obs is None else getattr(obs, "monitor", None)
 
         self._coupled = coupling is not None
@@ -558,8 +559,9 @@ class BatchStepper:
             self._inlet_sums = np.zeros(n)
             self._zero_offsets = np.zeros(n)
             self._last_offsets = self._zero_offsets
-            # Hot-path handle on the CouplingOperator: dense racks run one
-            # gemv, room-scale operators a block-sparse mat-vec.
+            # Hot-path handle on the CouplingOperator, called once per
+            # window: dense racks run one stacked gemv, room-scale
+            # operators a stacked block-sparse mat-vec.
             self._coupling_apply = coupling.apply
             self._conductance: np.ndarray | None = None
             self._conductance_for: np.ndarray | None = None
@@ -717,8 +719,14 @@ class BatchStepper:
 
     def run(self) -> None:
         """Advance all servers to the end of the horizon."""
-        while self._k < self._n_steps:
-            self._run_chunk(min(_CHUNK_STEPS, self._n_steps - self._k))
+        try:
+            while self._k < self._n_steps:
+                self._run_chunk(min(_CHUNK_STEPS, self._n_steps - self._k))
+        finally:
+            # A run that raises mid-chunk (a diverging plant) still
+            # sweeps the monitor samples it took before the failure.
+            if self._monitor is not None:
+                self._monitor.flush()
 
     def _run_chunk(self, m: int) -> None:
         # The window kernel both array lanes share.  A window is the
@@ -750,7 +758,6 @@ class BatchStepper:
         if obs is not None:
             clock = _PhaseClock()
             obs.phase("workload", t0, clock.t)
-        ctl_due = 0
 
         plant = self._plant
         sensing = self._sensing
@@ -762,8 +769,8 @@ class BatchStepper:
         fan_fault_rows = self._fan_fault_rows
         monitor = self._monitor
         # The monitor's next due instant as a local: it moves only when
-        # the monitor commits a sample, so the per-step test is one
-        # float compare (never true without a monitor).
+        # the monitor holds a sample, so the per-step test is one float
+        # compare (never true without a monitor).
         monitor_due = math.inf if monitor is None else monitor.next_due_s
         j = 0
         while j < m:
@@ -835,13 +842,13 @@ class BatchStepper:
                         self._next_control_min = float(self._next_control.min())
                     if clock is not None:
                         clock.lap("control")
-                        ctl_due += due_idx.size
+                        obs.count("control_steps", due_idx.size)
                 # Health monitoring: same due test as the scalar lane,
-                # sampling the post-control decision channels.  A
-                # monitor implies a live collector.
+                # holding the post-control decision channels for the
+                # chunk-end sweep.  A monitor implies a live collector.
                 if t_plus >= monitor_due:
                     clock.lap("sensing")
-                    monitor.ingest_batch(
+                    monitor.hold(
                         t, sensing.current, self._fan_cmd, applied[:, c]
                     )
                     monitor_due = monitor.next_due_s
@@ -878,10 +885,11 @@ class BatchStepper:
                 clock.lap("sensing")
             j = e
 
+        if monitor is not None:
+            monitor.flush()
+            clock.lap("monitor")
         if clock is not None:
             clock.flush(obs, m)
-            if ctl_due:
-                obs.count("control_steps", ctl_due)
         self._k = k0 + m
 
     def _advance_window(
@@ -959,9 +967,11 @@ class BatchStepper:
         reads the lagged plant-state mirrors, later rows the frozen fan
         power and the feed-forward CPU power - the values the per-step
         mirror updates would hold.  Offsets take one
-        :meth:`~repro.fleet.coupling.CouplingOperator.apply` per row (a
-        gemm column is not bitwise a gemv, and a dynamic operator
-        advances once per step).  Folds the rows into the inlet sums.
+        :meth:`~repro.fleet.coupling.CouplingOperator.apply` on the
+        whole ``(w, B)`` block: a stacked gemv whose row k equals the
+        one-step call bit for bit (a gemm column would not), with a
+        dynamic operator advancing once per row.  Folds the rows into
+        the inlet sums.
         """
         w, n = cpu_w.shape
         # Row 0 of the fold holds the running inlet sums.
@@ -983,8 +993,7 @@ class BatchStepper:
                 self._exhaust_conductance(self._plant.clamped_speed),
                 out=rises[1:],
             )
-            apply = self._coupling_apply
-            offsets = [apply(row) for row in rises]
+            offsets = self._coupling_apply(rises)
             np.add(self._room, offsets, out=ambient)
             self._last_offsets = offsets[-1]
         self._inlet_sums = np.add.accumulate(sums)[-1]

@@ -111,7 +111,7 @@ class ServerStepper:
         injector=None,
         server_index: int = 0,
         obs=None,
-        monitor_commit: bool = True,
+        lockstep_width: int = 1,
     ) -> None:
         self._plant = plant
         self._sensor = sensor
@@ -134,13 +134,16 @@ class ServerStepper:
         # Health monitoring (repro.obs.monitor): the simulator arms the
         # monitor on the collector *before* building steppers.  In
         # multi-stepper lanes every stepper samples its own server at a
-        # due instant, but only the last stepper commits the sample
-        # (monitor_commit), so rack-scope checks and the cadence advance
-        # run exactly once per step - the same order the batch lanes
-        # produce.  Monitors only read already-computed channel values;
-        # monitored runs stay bit-for-bit identical to bare runs.
+        # due instant, but only the last stepper closes the lockstep
+        # step (lockstep_width = the rack's n, 0 on the others): it
+        # commits the sample, so rack-scope checks and the cadence
+        # advance run exactly once per step, and it ticks the collector
+        # once for all n servers, so a streamed snapshot sees the whole
+        # step - the same order the batch lanes produce.  Monitors only
+        # read already-computed channel values; monitored runs stay
+        # bit-for-bit identical to bare runs.
         self._monitor = None if obs is None else getattr(obs, "monitor", None)
-        self._monitor_commit = monitor_commit
+        self._lockstep_width = lockstep_width
         # dt is validated once here, so the stock plant can skip per-step
         # re-validation; subclasses keep their step() override in charge.
         self._plant_step = (
@@ -308,7 +311,7 @@ class ServerStepper:
             monitor.sample_server(
                 t, self._server_index, reading.value_c, self._fan_speed, applied
             )
-            if self._monitor_commit:
+            if self._lockstep_width:
                 monitor.commit(t)
             t_now = _pc()
             obs.phase("monitor", t_prev, t_now)
@@ -340,8 +343,8 @@ class ServerStepper:
                 obs.phase("record", t_prev, _pc())
 
         self._k = k + 1
-        if obs is not None:
-            obs.tick(t, 1)
+        if obs is not None and self._lockstep_width:
+            obs.tick(t, self._lockstep_width)
         return plant_state
 
     def finish(self, label: str = "run") -> SimulationResult:

@@ -5,19 +5,20 @@ kernel.  Between control decisions the closed loop is *open*: fan
 levels, CPU caps, exhaust conductances and plant coefficients are all
 frozen, demand is precomputed, and ``applied = min(demand, cap)`` makes
 the plant forcing feed-forward.  The vectorized lane still steps the
-recurrence of such a window one ``dt`` at a time and applies the
-coupling once per step; :class:`FusedStepper` advances it as a handful
-of ``(B, w)`` matrix ops:
+recurrence of such a window one ``dt`` at a time, and applies the
+coupling as one stacked gemv per window whose rows are bitwise the
+per-step mat-vecs; :class:`FusedStepper` advances it as a handful of
+``(B, w)`` matrix ops:
 
 * the whole window's socket and CPU power as two products,
 * exhaust rises as one matrix (column 0 carries the one-step-lagged
   plant-state mirrors, exactly like the per-dt lane) pushed through
   :meth:`~repro.fleet.coupling.CouplingOperator.apply_window` - for
-  multi-rack rooms one stacked ``(R, B, B) @ (R, B, w)`` matmul instead
-  of a per-rack Python gemv loop per step,
+  multi-rack rooms one stacked ``(R, B, B) @ (R, B, w)`` gemm,
 * heat-sink and die trajectories via the cumulative-sum closed form
-  :func:`~repro.sim.backends.exp_scan_numpy`,
-* trapezoidal energy as one pair-average mat-vec per window.
+  :func:`~repro.sim.backends.exp_scan_numpy` (the cumulative sum one
+  matmul with a triangular ones matrix),
+* trapezoidal energy as one weights gemv per window.
 
 Sensing, control decisions, the monitor hook and records are the shared
 kernel's, at every step's own time, so decision *sequences* are the
@@ -95,7 +96,8 @@ class FusedStepper(BatchStepper):
         # plant-coefficient column views are cached per plant version
         # (fan/fouling changes rebuild them), and repeated across the
         # window per width: same-shape products cost less than ``(B,
-        # 1)`` broadcasts and give the same floats.
+        # 1)`` broadcasts and give the same floats.  The width's entry
+        # ends with a ones vector for the inlet row sums.
         if self._coeff_version != plant.version:
             self._coeff_version = plant.version
             self._coeff_cache.clear()
@@ -110,8 +112,8 @@ class FusedStepper(BatchStepper):
         if cols is None:
             cols = self._coeff_cache[("cols", w)] = tuple(
                 np.repeat(col, w, axis=1) for col in self._cols
-            )
-        p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c = cols
+            ) + (np.ones(w),)
+        p_static_c, p_dynamic_c, n_sockets_c, r_hs_c, r_die_c, ones = cols
         socket_p = p_static_c + p_dynamic_c * applied
         cpu_w = socket_p * n_sockets_c
         if clock is not None:
@@ -142,10 +144,11 @@ class FusedStepper(BatchStepper):
                         out=rises[:, 1:],
                     )
                 offsets = self._coupling.apply_window(rises)
-                self._last_offsets = offsets[:, -1].copy()
-                ambient = offsets
-                ambient += self._room_col
-            self._inlet_sums += ambient.sum(axis=1)
+                self._last_offsets = offsets[:, -1]
+                ambient = offsets + self._room_col
+            # Row sums as one gemv: several times cheaper than a
+            # reduction along the short window axis.
+            self._inlet_sums += ambient @ ones
             if clock is not None:
                 clock.lap("coupling")
         else:
@@ -163,23 +166,24 @@ class FusedStepper(BatchStepper):
         plant.die_temp = die_out[:, -1]
 
         # Energy once per window, pairing column 0 with the plant-state
-        # mirrors of the previous step.
+        # mirrors of the previous step.  Trapezoid weights: CPU power at
+        # step c counts half of its own interval and half of the next.
         fan_w = plant.fan_w
         t_end = times[e - 1]
         dt0 = times[j] - self._energy_last_t
-        dts = np.empty(w)
-        dts[0] = dt0
+        weights = np.empty(w)
+        weights[0] = dt0
         if w > 1:
-            np.subtract(times_arr[j + 1 : e], times_arr[j : e - 1], out=dts[1:])
-        prev_cpu = np.empty((n, w))
-        prev_cpu[:, 0] = self._state_cpu_w
-        if w > 1:
-            prev_cpu[:, 1:] = cpu_w[:, :-1]
-        prev_cpu += cpu_w
-        self._cpu_j += prev_cpu @ (0.5 * dts)
-        self._fan_j += (
-            0.5 * dt0
-        ) * (self._state_fan_w + fan_w) + (t_end - times[j]) * fan_w
+            np.subtract(
+                times_arr[j + 1 : e], times_arr[j : e - 1], out=weights[1:]
+            )
+            weights[:-1] += weights[1:]
+        weights *= 0.5
+        self._cpu_j += cpu_w @ weights + (0.5 * dt0) * self._state_cpu_w
+        # Fan power is frozen across the window: one weight per term.
+        self._fan_j += (0.5 * dt0) * self._state_fan_w + (
+            0.5 * dt0 + (t_end - times[j])
+        ) * fan_w
         self._energy_last_t = t_end
 
         # The mirrors hold column views (their window buffers are never

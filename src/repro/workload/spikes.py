@@ -9,7 +9,8 @@ explicit list.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,21 @@ class SpikeTrain(Workload):
             return super().demand_array(times_s)
         times = np.asarray(times_s, dtype=float)
         heights = np.zeros(times.shape)
-        for spike in self._spikes:
+        if times.size == 0:
+            return heights
+        # Only spikes that can overlap [min, max] are visited: a spike
+        # ends at most _max_duration_s after its start.  The margin keeps
+        # rounding in those bounds from ever dropping an active spike,
+        # and the mask below still decides each candidate exactly.
+        lo_t, hi_t = float(times.min()), float(times.max())
+        lo, hi = 0, len(self._spikes)
+        if math.isfinite(lo_t) and math.isfinite(hi_t):
+            margin = 1.0 + 1e-9 * max(abs(lo_t), abs(hi_t))
+            lo = bisect_left(
+                self._starts, lo_t - self._max_duration_s - margin
+            )
+            hi = bisect_right(self._starts, hi_t + margin)
+        for spike in self._spikes[lo:hi]:
             active = (times >= spike.start_s) & (times < spike.end_s)
             np.maximum(heights, spike.height, out=heights, where=active)
         return heights

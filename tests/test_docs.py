@@ -25,3 +25,22 @@ def test_intra_repo_links_resolve():
         text=True,
     )
     assert proc.returncode == 0, f"link checker failed:\n{proc.stdout}"
+
+
+def test_bare_md_names_are_found():
+    # The checker also resolves bare ``*.md`` names in prose and
+    # docstrings; URLs and glob patterns are not names.
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        from check_links import MD_NAME_RE
+    finally:
+        sys.path.pop(0)
+    line = (
+        "See DESIGN.md, `docs/backends.md` and ../README.md, not "
+        "https://example.org/a/NOTES.md or docs/**/*.md."
+    )
+    assert MD_NAME_RE.findall(line) == [
+        "DESIGN.md",
+        "docs/backends.md",
+        "../README.md",
+    ]

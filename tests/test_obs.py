@@ -30,6 +30,7 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     MetricSink,
+    MonitorConfig,
     ObsCollector,
     ObsConfig,
     SpanBuffer,
@@ -406,6 +407,92 @@ class TestLanesBitForBit:
             for rec in recs:
                 steps = round(rec["sim_time_s"] / 0.1)
                 assert rec["counters"]["server_steps"] == 4 * steps
+
+    MONITORED_FAULTS = FaultSchedule(
+        events=(
+            FaultEvent("stuck", server=1, start_s=20.0, duration_s=200.0),
+            FaultEvent(
+                "offset", server=2, start_s=10.0, duration_s=250.0,
+                magnitude=8.0,
+            ),
+            FaultEvent("fan_seize", server=3, start_s=15.0, duration_s=200.0),
+        ),
+        seed=3,
+    )
+
+    def test_monitored_sink_records_match_across_backends(self):
+        # A monitored, faulted rack streaming snapshots: every lane's
+        # sink sees the same records in the same order.  The scalar lane
+        # ticks once per whole-rack step, so a snapshot never lands
+        # between two servers' monitor samples; the array lanes sweep
+        # their held monitor samples before every snapshot.
+        def records(backend):
+            obs = ObsCollector(
+                ObsConfig(emit_every_s=7.5, monitor=MonitorConfig())
+            )
+            rack = homogeneous_rack(n_servers=4, duration_s=300.0, seed=5)
+            FleetSimulator(
+                rack, dt_s=0.1, backend=backend,
+                faults=self.MONITORED_FAULTS, obs=obs,
+            ).run(300.0)
+            return [
+                (
+                    rec["type"],
+                    rec.get("sim_time_s", rec.get("onset_s")),
+                    rec.get("counters"),
+                    rec.get("incidents", rec.get("detector")),
+                )
+                for rec in obs.sink.records
+            ]
+
+        scalar = records("scalar")
+        kinds = {rec[0] for rec in scalar}
+        assert kinds == {"metrics", "incident", "final"}
+        assert sum(rec[0] == "metrics" for rec in scalar) == 40
+        for backend in ("vectorized", "fused"):
+            assert records(backend) == scalar, backend
+
+    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
+    def test_diverging_run_keeps_its_held_monitor_samples(
+        self, backend, monkeypatch
+    ):
+        # The array lanes sweep monitor samples once per chunk; a run
+        # that raises mid-chunk still records the incidents its samples
+        # opened before the failure.
+        from repro.errors import ThermalModelError
+        from repro.sim.backends import batch_stepper
+
+        def onsets(obs):
+            return [
+                (i["detector"], i["scope"], i["onset_s"])
+                for i in obs.incidents
+                if i["onset_s"] < 200.0
+            ]
+
+        def run(obs):
+            rack = homogeneous_rack(n_servers=4, duration_s=300.0, seed=5)
+            FleetSimulator(
+                rack, dt_s=0.1, backend=backend,
+                faults=self.MONITORED_FAULTS, obs=obs,
+            ).run(300.0)
+
+        clean = ObsCollector(ObsConfig(monitor=MonitorConfig()))
+        run(clean)
+        assert onsets(clean)
+        lane = batch_stepper(backend)[1]
+        advance = lane._advance_window
+
+        def poisoned(self, j, e, applied, times, times_arr, clock):
+            if times[e - 1] >= 200.0:
+                applied = applied.copy()
+                applied[1] = math.nan
+            return advance(self, j, e, applied, times, times_arr, clock)
+
+        monkeypatch.setattr(lane, "_advance_window", poisoned)
+        failed = ObsCollector(ObsConfig(monitor=MonitorConfig()))
+        with pytest.raises(ThermalModelError):
+            run(failed)
+        assert onsets(failed) == onsets(clean)
 
     def test_failsafe_counter_matches_across_backends(self):
         def counters(backend):

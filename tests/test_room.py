@@ -165,8 +165,35 @@ def _loop_block_terms(coupling, rises):
     return out
 
 
+#: Steps per stacked ``(w, N)`` block that ``apply`` must run row by row.
+_BLOCK_WIDTHS = (1, 2, 7, 10, 64)
+
+
+def _step_block(n, w, seed):
+    """A ``(w, N)`` block of rises, one row per step, with -0.0 and NaN."""
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.0, 25.0, size=(w, n))
+    block[rng.random(block.shape) < 0.1] = -0.0
+    block[rng.integers(w), rng.integers(n)] = np.nan
+    return block
+
+
+def _assert_block_matches_rows(apply, one_step, n):
+    """``apply`` on a ``(w, N)`` block equals ``one_step`` per row, bytewise."""
+    for seed, w in enumerate(_BLOCK_WIDTHS):
+        block = _step_block(n, w, seed)
+        expected = np.array([one_step(row) for row in block])
+        got = apply(block)
+        assert got.shape == block.shape, w
+        assert got.tobytes() == expected.tobytes(), (w, seed)
+
+
 class TestBlockPlan:
-    """apply/apply_window equal the per-rack and per-pair loop bit for bit."""
+    """apply/apply_window equal the per-rack and per-pair loop bit for bit.
+
+    ``apply`` on a ``(w, N)`` block of steps must equal the loop's gemv
+    row by row; ``apply_window`` on an ``(N, w)`` window the loop's gemm.
+    """
 
     @staticmethod
     def _rises(n, w=None, seed=0):
@@ -176,13 +203,18 @@ class TestBlockPlan:
 
     def _assert_matches_loop(self, coupling, extra=None):
         """``extra(rises)`` is the low-rank term the operator adds."""
-        for seed, w in enumerate((None, 1, 2, 7, 10)):
-            rises = self._rises(coupling.n_servers, w, seed)
+
+        def loop(rises):
             expected = _loop_block_terms(coupling, rises)
             if extra is not None:
                 expected += extra(rises)
+            return expected
+
+        for seed, w in enumerate((None, 1, 2, 7, 10)):
+            rises = self._rises(coupling.n_servers, w, seed)
             got = coupling.apply(rises) if w is None else coupling.apply_window(rises)
-            assert np.array_equal(got, expected), (w, seed)
+            assert np.array_equal(got, loop(rises)), (w, seed)
+        _assert_block_matches_rows(coupling.apply, loop, coupling.n_servers)
 
     @pytest.mark.parametrize("name", sorted(ROOM_SCENARIOS))
     @pytest.mark.parametrize("grid", [(1, 16), (2, 4)])
@@ -245,7 +277,8 @@ class TestBlockPlan:
         }
         self._assert_matches_loop(SparseCoupling(blocks, cross=cross))
 
-    def test_dynamic_crac_operator_stepped(self):
+    @staticmethod
+    def _dynamic_operator():
         blocks = _chain_blocks(4, 3)
         cross = {(1, 0): 0.08 * np.eye(3), (0, 1): 0.08 * np.eye(3)}
         gain = np.vstack([0.4 * np.ones(12), np.r_[np.ones(6), np.zeros(6)]])
@@ -260,6 +293,44 @@ class TestBlockPlan:
             crac_unit_rows=(1,),
         )
         coupling.prepare_run(0.1)
+        return coupling, gain
+
+    def test_recirculation_matrix_block(self):
+        rng = np.random.default_rng(11)
+        dense = 0.05 * rng.random((16, 16)) * (1 - np.eye(16))
+        for matrix in (
+            RecirculationMatrix.chain(16, 0.3),
+            RecirculationMatrix(dense),
+        ):
+            m = matrix.matrix
+            _assert_block_matches_rows(matrix.apply, lambda r: m @ r, 16)
+
+    def test_dynamic_block_steps_once_per_row(self):
+        # A block advances the supply filter once per row, in row order:
+        # the same offsets and states as w one-step calls on a twin.
+        block_op, _ = self._dynamic_operator()
+        row_op, _ = self._dynamic_operator()
+        for seed, w in enumerate(_BLOCK_WIDTHS):
+            if seed == 2:
+                for op in (block_op, row_op):
+                    op.set_supply_forcing(0, 4.0)
+            block = self._rises(12, w, seed).T.copy()
+            block[0, seed] = -0.0
+            got = block_op.apply(block)
+            expected = np.array([row_op.apply(row) for row in block])
+            assert got.tobytes() == expected.tobytes(), w
+            assert (
+                block_op.supply_states_c.tobytes()
+                == row_op.supply_states_c.tobytes()
+            ), w
+        # apply_window on an (N, w) window steps the same way.
+        window = self._rises(12, 10, seed=9)
+        got = block_op.apply_window(window)
+        expected = np.array([row_op.apply(col) for col in window.T]).T
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_dynamic_crac_operator_stepped(self):
+        coupling, gain = self._dynamic_operator()
         for step in range(8):
             if step == 3:
                 coupling.set_supply_forcing(0, 4.0)

@@ -124,6 +124,30 @@ class TestDemandArrayExactness:
         with pytest.raises(WorkloadError):
             wl.demand_array(np.array([1.0, -0.1]))
 
+    def test_spike_train_chunked_and_out_of_order(self):
+        # demand_array visits only the spikes that can overlap the span
+        # it is asked about; chunked, reversed and shuffled queries, and
+        # times on and next to every spike edge, must still see each
+        # active spike exactly as the scalar scan does.
+        train = SpikeProcess(
+            6000.0, 1 / 15.0, duration_range_s=(0.05, 400.0), seed=21
+        )
+        assert len(train.spikes) > 300
+        grid = np.array([0.1 * (k + 1) for k in range(60_000)])
+        for lo in range(0, grid.size, 4096):
+            self._assert_exact(train, grid[lo : lo + 4096])
+        self._assert_exact(train, grid[::-1].copy())
+        rng = np.random.default_rng(4)
+        self._assert_exact(train, rng.permutation(grid)[:5000])
+        edges = np.array(
+            [t for s in train.spikes for t in (s.start_s, s.end_s)]
+        )
+        for chunk in np.array_split(rng.permutation(edges), 7):
+            near = np.concatenate(
+                (chunk, np.nextafter(chunk, -np.inf), np.nextafter(chunk, np.inf))
+            )
+            self._assert_exact(train, near)
+
     def test_noisy_bulk_draws_match_scalar_stream(self):
         # Fresh twin instances: the array path's bulk normal(size=k)
         # draws must consume the RNG stream exactly as the scalar
