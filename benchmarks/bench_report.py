@@ -3,29 +3,20 @@
 Benchmarks call :func:`bench_record` with their headline numbers
 (steps/sec, servers x steps/sec, backend speedups); the benchmarks
 conftest writes the collected records to ``BENCH_core.json`` and
-``BENCH_fleet.json`` in the repo root at session end, so the perf
-trajectory is tracked across PRs by diffing two files instead of
-scraping pytest output.
+``BENCH_fleet.json`` in ``REPRO_BENCH_DIR`` at session end, where
+``tools/check_bench_gates.py`` reads them.  With the variable unset
+nothing is written, so a plain ``pytest`` run leaves the checkout as it
+found it.
 
 Environment knobs:
 
 * ``REPRO_BENCH_SMOKE=1`` - short durations and no speedup assertions;
   CI uses this to catch import/regression breakage without timing
   flakiness.
-* ``REPRO_BENCH_DIR`` - where to write the JSON files (default: repo
-  root).
-* ``REPRO_BENCH_OVERWRITE=1`` - replace the target files wholesale
-  instead of carrying forward same-mode rows the session did not run
-  (use after renaming or deleting a benchmark).
+* ``REPRO_BENCH_DIR`` - the directory to write the JSON files into.
 
-Two guards keep a committed baseline from being corrupted by a bad
-run: a failing session does not flush at all (its numbers come from a
-run that tripped a perf gate, so they must not become the next
-baseline), and a *subset* run - e.g. ``pytest benchmarks/test_bench_obs.py``
-- merges into the existing file rather than replacing it, so rows from
-benchmarks that were never collected this session survive.  Merging
-only happens when the existing file was produced in the same mode
-(``meta.smoke`` matches); smoke and full-mode numbers never mix.
+A failing session does not flush at all: its numbers come from a run
+that tripped a perf gate, so no gate should read them as a pass.
 """
 
 from __future__ import annotations
@@ -37,8 +28,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: file key -> {benchmark name -> fields}
 _RECORDS: dict[str, dict[str, dict]] = {}
@@ -102,38 +91,15 @@ def bench_record(file_key: str, name: str, **fields) -> None:
     _RECORDS.setdefault(file_key, {})[name] = fields
 
 
-def _existing_same_mode_rows(path: Path, smoke: bool) -> dict[str, dict]:
-    """Benchmark rows already at *path*, if it holds same-mode records.
-
-    Returns ``{}`` when the file is absent, unparseable, or was written
-    in the other mode (smoke vs full) - those rows must never be merged
-    with the current session's numbers.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    meta = payload.get("meta", {})
-    benchmarks = payload.get("benchmarks", {})
-    if not isinstance(meta, dict) or not isinstance(benchmarks, dict):
-        return {}
-    if meta.get("smoke") is not smoke:
-        return {}
-    return benchmarks
-
-
 def write_records(exitstatus: int = 0) -> None:
     """Write one ``BENCH_<key>.json`` per populated file key.
 
+    Files go to ``REPRO_BENCH_DIR``; with it unset nothing is written.
     A nonzero *exitstatus* (failed or interrupted pytest session) skips
-    the flush entirely: a run that tripped a perf gate must not become
-    the new baseline.  A passing subset run merges over the existing
-    same-mode file so rows it did not collect are preserved; set
-    ``REPRO_BENCH_OVERWRITE=1`` to replace the files wholesale.
+    the flush entirely.
     """
-    if not _RECORDS:
+    out = os.environ.get("REPRO_BENCH_DIR", "")
+    if not _RECORDS or not out:
         return
     if exitstatus != 0:
         print(
@@ -142,21 +108,16 @@ def write_records(exitstatus: int = 0) -> None:
             file=sys.stderr,
         )
         return
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", _REPO_ROOT))
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overwrite = os.environ.get("REPRO_BENCH_OVERWRITE", "") not in ("", "0")
-    smoke = smoke_mode()
     meta = {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "smoke": smoke,
+        "smoke": smoke_mode(),
         "unix_time": int(time.time()),
     }
     for file_key, benchmarks in _RECORDS.items():
-        path = out_dir / f"BENCH_{file_key}.json"
-        merged = dict(benchmarks)
-        if not overwrite:
-            for name, fields in _existing_same_mode_rows(path, smoke).items():
-                merged.setdefault(name, fields)
-        payload = {"meta": meta, "benchmarks": merged}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = {"meta": meta, "benchmarks": benchmarks}
+        (out_dir / f"BENCH_{file_key}.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )

@@ -2,7 +2,8 @@
 
 Ensures :mod:`bench_report` is importable from the benchmark modules
 (the benchmarks directory is not a package) and flushes the collected
-records to ``BENCH_*.json`` when the session ends.
+records to ``BENCH_*.json`` in ``REPRO_BENCH_DIR`` when the session
+ends.
 """
 
 from __future__ import annotations

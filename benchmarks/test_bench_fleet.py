@@ -3,11 +3,11 @@
 The headline benchmarks race the scalar and vectorized
 :class:`~repro.fleet.simulator.FleetSimulator` backends on the same
 16- and 64-server racks and record both throughputs (plus the speedup)
-to ``BENCH_fleet.json`` via the conftest collector, so the perf
-trajectory is tracked across PRs.  Since PR 3 the vectorized rows also
-cover the batch *controller* backend (the whole DTM advances as array
-ops); this PR adds the **fused** per-window kernel as a third lane and
-gates its ratio over vectorized.  The fused rounds assert the two-tier
+to ``BENCH_fleet.json`` via the conftest collector (written only into
+``REPRO_BENCH_DIR``).  The vectorized rows cover the batch *controller*
+backend (the whole DTM advances as array ops), and the **fused**
+per-window kernel runs as a third lane with its ratio over vectorized
+gated.  The fused rounds assert the two-tier
 contract's no-silent-fallback clause in smoke mode too: CI fails if a
 "fused" run ever reports a scalar or mixed controller backend.  The
 campaign benchmarks time the process-pool fan-out path on top of the

@@ -9,6 +9,11 @@ streams from it deterministically, results are identical whichever
 worker (or the parent process, for the serial path) executes the task;
 :class:`CampaignRunner` only chooses *where* tasks run, via the same
 :func:`~repro.sim.parallel.parallel_map` machinery parameter sweeps use.
+Room tasks (:class:`~repro.room.campaign.RoomTask`) run through the same
+worker: a task type supplies only how to build its system and fault
+schedule (``build``), which simulator runs it (``simulator_type``) and
+how it stacks (``chunk_key``); :func:`check_task` holds the
+construction-time checks every task type runs.
 
 Process-level parallelism composes with the vectorized backend twice
 over: each worker advances racks as array ops, and the runner **chunks
@@ -30,22 +35,59 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Any, Iterable, Sequence
 
 from repro.config import FleetConfig
 from repro.errors import FleetError
+from repro.faults.events import FaultSchedule
 from repro.fleet.result import FleetResult
 from repro.fleet.scenarios import FLEET_SCENARIOS, build_fleet_scenario
-from repro.fleet.simulator import FleetSimulator
 from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
 from repro.sim.backends import BACKENDS
 from repro.sim.parallel import parallel_map, resolve_workers
+from repro.sim.scenarios import SCHEME_NAMES
+from repro.units import check_duration
 
 #: Default racks per stacked chunk.  Past ~4 racks the per-``dt``
 #: dispatch is already well amortized and wider stacks only grow worker
 #: payloads, so the default stays modest.
 DEFAULT_CHUNK_SIZE = 4
+
+
+def check_task(task) -> None:
+    """The construction-time checks every campaign task type runs.
+
+    A bad field raises here, in the process building the campaign,
+    rather than inside a pool worker after earlier chunks have spent
+    their time.  Each error names the field.
+    """
+    if task.backend not in BACKENDS:
+        raise FleetError(
+            f"unknown backend {task.backend!r}; choose from {BACKENDS}"
+        )
+    if task.scheme not in SCHEME_NAMES:
+        raise FleetError(
+            f"unknown scheme {task.scheme!r}; choose from {SCHEME_NAMES}"
+        )
+    check_duration(task.duration_s, "duration_s")
+    check_duration(task.dt_s, "dt_s")
+    decimation = task.record_decimation
+    if not isinstance(decimation, Integral) or decimation < 1:
+        raise FleetError(
+            f"record_decimation must be a positive integer, got {decimation!r}"
+        )
+    if task.faults is not None and not isinstance(task.faults, FaultSchedule):
+        raise FleetError(
+            "task faults must be a FaultSchedule or None, got "
+            f"{type(task.faults).__name__}"
+        )
+    if task.obs is not None and not isinstance(task.obs, ObsConfig):
+        raise FleetError(
+            "task obs must be an ObsConfig (picklable), got "
+            f"{type(task.obs).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +107,7 @@ class CampaignTask:
     #: Optional fault schedule injected into the run (repro.faults).
     #: Faulted tasks run one rack per task - schedules target servers by
     #: rack position, which stacking would re-index.
-    faults: Any = None
+    faults: FaultSchedule | None = None
     #: Optional :class:`~repro.obs.ObsConfig` profiling the run
     #: (repro.obs).  Must be a *config*, not a live collector - tasks
     #: cross process-pool boundaries, so everything they carry must
@@ -81,15 +123,8 @@ class CampaignTask:
                 f"unknown fleet scenario {self.scenario!r}; choose from "
                 f"{sorted(FLEET_SCENARIOS)}"
             )
-        if self.backend not in BACKENDS:
-            raise FleetError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.obs is not None and not isinstance(self.obs, ObsConfig):
-            raise FleetError(
-                "task obs must be an ObsConfig (picklable), got "
-                f"{type(self.obs).__name__}"
-            )
+        check_task(self)
+        self.fleet_config  # its validators reject a bad rack here
 
     @property
     def label(self) -> str:
@@ -121,27 +156,44 @@ class CampaignTask:
             self.obs,
         )
 
+    @property
+    def fleet_config(self) -> FleetConfig:
+        """The :class:`~repro.config.FleetConfig` this task describes."""
+        return FleetConfig(
+            n_servers=self.n_servers, recirc_fraction=self.recirc_fraction
+        )
 
-def _build_rack(task: CampaignTask):
-    return build_fleet_scenario(
-        task.scenario,
-        n_servers=task.n_servers,
-        duration_s=task.duration_s,
-        seed=task.seed,
-        fleet=FleetConfig(
-            n_servers=task.n_servers, recirc_fraction=task.recirc_fraction
-        ),
-        scheme=task.scheme,
-    )
+    def build(self) -> tuple[Any, FaultSchedule | None]:
+        """The rack this task runs, and its fault schedule."""
+        rack = build_fleet_scenario(
+            self.scenario,
+            n_servers=self.n_servers,
+            duration_s=self.duration_s,
+            seed=self.seed,
+            fleet=self.fleet_config,
+            scheme=self.scheme,
+        )
+        return rack, self.faults
+
+    @property
+    def simulator_type(self) -> type:
+        """The simulator class that runs the built rack."""
+        # Imported on use: fleet.simulator imports room.simulator, whose
+        # package imports room.campaign, which imports this module.
+        from repro.fleet.simulator import FleetSimulator
+
+        return FleetSimulator
 
 
 def worker_info(task_wall_s: float) -> dict:
     """The executing process's attribution record (``extras["worker"]``).
 
     ``pid`` identifies which pool worker (or the parent, on the serial
-    path) ran the task; ``task_wall_s`` is the task's wall time there.
-    Stacked tasks share their chunk's wall time - the batch advances
-    them together, so per-task splits would be fiction.
+    path) ran the task; ``task_wall_s`` is the task's wall time there,
+    from the end of the build to the end of the run, so it covers the
+    simulator's construction and the simulation but not the scenario
+    build.  Stacked tasks share their chunk's wall time - the batch
+    advances them together, so per-task splits would be fiction.
     """
     return {"pid": os.getpid(), "task_wall_s": task_wall_s}
 
@@ -216,17 +268,17 @@ def _push_task_final(queue, index, task, result, sink) -> None:
     )
 
 
-def _simulate_task(
-    task: CampaignTask, rack, queue=None, index: int | None = None
-) -> FleetResult:
+def _simulate_task(task, built, queue=None, index: int | None = None):
+    """Simulate one task's built system alone: the only worker body."""
+    system, faults = built
     t0 = time.perf_counter()
     collector, sink = _worker_collector(task, queue)
-    sim = FleetSimulator(
-        rack,
+    sim = task.simulator_type(
+        system,
         dt_s=task.dt_s,
         record_decimation=task.record_decimation,
         backend=task.backend,
-        faults=task.faults,
+        faults=faults,
         obs=collector if collector is not None else _worker_obs(task.obs),
     )
     result = sim.run(task.duration_s, label=task.label)
@@ -241,11 +293,14 @@ def _simulate_task(
     return result
 
 
-def run_campaign_task(
-    task: CampaignTask, queue=None, index: int | None = None
-) -> FleetResult:
-    """Build and simulate one task's rack (module-level: pool-picklable)."""
-    return _simulate_task(task, _build_rack(task), queue=queue, index=index)
+def run_campaign_task(task, queue=None, index: int | None = None):
+    """Build and simulate one rack or room task (module-level: pool-picklable).
+
+    Returns a :class:`FleetResult` for a :class:`CampaignTask` and a
+    :class:`~repro.room.result.RoomResult` for a
+    :class:`~repro.room.campaign.RoomTask`.
+    """
+    return _simulate_task(task, task.build(), queue=queue, index=index)
 
 
 def run_campaign_chunk(
@@ -258,9 +313,10 @@ def run_campaign_chunk(
     Module-level and picklable, like :func:`run_campaign_task`.  Racks
     stack with block-diagonal coupling (mutually independent), so each
     result is bit-for-bit identical to its solo run; when the chunk
-    cannot stack (scalar backend requested, or a rack the batch backend
-    cannot represent) every task silently falls back to its own
-    :class:`~repro.fleet.simulator.FleetSimulator` run.
+    cannot stack (room tasks, scalar backend requested, or a rack the
+    batch backend cannot represent) every task silently falls back to
+    its own :func:`run_campaign_task` run.  A chunk mixing rack and room
+    tasks raises :class:`~repro.errors.FleetError`.
 
     ``queue``/``indices`` are the streaming-campaign plumbing: when a
     :class:`~repro.obs.live.CampaignStream` is attached, each task's
@@ -270,40 +326,30 @@ def run_campaign_chunk(
     tasks = list(tasks)
     if indices is None:
         indices = list(range(len(tasks)))
-    rack_flags = [isinstance(task, CampaignTask) for task in tasks]
-    if any(rack_flags) and not all(rack_flags):
+    if len({type(task) for task in tasks}) > 1:
         raise FleetError(
             "a campaign chunk must be all rack tasks or all room tasks; "
             "CampaignRunner never mixes them within one chunk"
         )
-    if tasks and not rack_flags[0]:
-        # Room tasks: each room already runs as one stacked batch, so a
-        # chunk is just its tasks run back to back.
-        from repro.room.campaign import run_room_task
-
-        return [
-            run_room_task(task, queue=queue, index=index)
-            for task, index in zip(tasks, indices)
-        ]
-    if len(tasks) == 1:
-        return [run_campaign_task(tasks[0], queue=queue, index=indices[0])]
     from repro.room import run_stacked_racks, stacked_unsupported_reason
 
-    racks = [_build_rack(task) for task in tasks]
-    if any(task.faults is not None for task in tasks):
-        reason = "fault schedules target servers by rack position"
-    elif any(task.obs is not None for task in tasks):
-        # A stacked batch would profile the whole chunk as one run;
-        # solo runs keep each summary attributable to its own task.
-        reason = "observability profiles one run per task"
-    elif any(task.backend == "scalar" for task in tasks):
-        reason = "scalar backend requested"
-    else:
-        reason = stacked_unsupported_reason(racks)
-    if reason is not None:
+    built = [task.build() for task in tasks]
+    racks = [system for system, _ in built]
+    # Rooms (no chunk key) already run as one stacked batch each.  Fault
+    # schedules target servers by rack position, and a stacked batch
+    # would profile the whole chunk as one run, so faulted, instrumented
+    # and scalar tasks run one at a time too.
+    if (
+        len(tasks) <= 1
+        or tasks[0].chunk_key is None
+        or any(task.faults is not None for task in tasks)
+        or any(task.obs is not None for task in tasks)
+        or any(task.backend == "scalar" for task in tasks)
+        or stacked_unsupported_reason(racks) is not None
+    ):
         return [
-            _simulate_task(task, rack, queue=queue, index=index)
-            for task, rack, index in zip(tasks, racks, indices)
+            _simulate_task(task, one, queue=queue, index=index)
+            for task, one, index in zip(tasks, built, indices)
         ]
     labels = [task.label for task in tasks]
     t0 = time.perf_counter()
@@ -413,17 +459,17 @@ class CampaignRunner:
     ) -> list[tuple[list[int], list]]:
         """Split tasks into stackable chunks, remembering their indices.
 
-        Rack tasks group by :attr:`CampaignTask.chunk_key`; room tasks
-        (:class:`~repro.room.campaign.RoomTask`) are their own chunks -
-        a room already runs as one stacked batch internally.
+        Tasks group by their ``chunk_key``; a task whose key is ``None``
+        (a :class:`~repro.room.campaign.RoomTask`: a room already runs
+        as one stacked batch internally) is its own chunk.
         """
         grouped: dict[tuple, list[int]] = {}
         chunks: list[tuple[list[int], list]] = []
         for i, task in enumerate(tasks):
-            if isinstance(task, CampaignTask):
-                grouped.setdefault(task.chunk_key, []).append(i)
-            else:
+            if task.chunk_key is None:
                 chunks.append(([i], [task]))
+            else:
+                grouped.setdefault(task.chunk_key, []).append(i)
         for indices in grouped.values():
             for lo in range(0, len(indices), self._chunk_size):
                 part = indices[lo : lo + self._chunk_size]

@@ -8,10 +8,12 @@ picklable and fully self-describing: the worker rebuilds the room from
 the scenario registry (a plain :data:`~repro.room.scenarios.ROOM_SCENARIOS`
 room, or a room-scoped fault scenario from
 :data:`~repro.faults.scenarios.FAULT_SCENARIOS` that brings its own
-schedule), runs it through :class:`~repro.room.simulator.RoomSimulator`,
-and ships the :class:`~repro.room.result.RoomResult` back.  Because
-rooms already execute as one stacked batch internally, room tasks never
-chunk - each is its own unit of pool work.
+schedule), runs it through :class:`~repro.room.simulator.RoomSimulator`
+on the rack tasks' worker path (:func:`run_room_task` is
+:func:`~repro.fleet.campaign.run_campaign_task`), and ships the
+:class:`~repro.room.result.RoomResult` back.  Because rooms already
+execute as one stacked batch internally, room tasks never chunk - each
+is its own unit of pool work.
 
 Determinism mirrors the fleet campaign contract: every per-server RNG
 stream derives from the task seed, and fault schedules are pure data,
@@ -20,17 +22,16 @@ so serial and parallel executions produce identical results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.config import CRACConfig, RoomConfig
 from repro.errors import FleetError
 from repro.faults.events import FaultSchedule
+from repro.fleet.campaign import check_task, run_campaign_task
 from repro.obs.collector import ObsConfig
-from repro.room.result import RoomResult
 from repro.room.scenarios import ROOM_SCENARIOS, build_room_scenario
 from repro.room.simulator import RoomSimulator
-from repro.sim.backends import BACKENDS
 
 
 def _room_fault_scenarios() -> dict:
@@ -79,11 +80,6 @@ class RoomTask:
     obs: ObsConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.obs is not None and not isinstance(self.obs, ObsConfig):
-            raise FleetError(
-                "task obs must be an ObsConfig (picklable), got "
-                f"{type(self.obs).__name__}"
-            )
         fault_scenarios = _room_fault_scenarios()
         if (
             self.scenario not in ROOM_SCENARIOS
@@ -93,15 +89,13 @@ class RoomTask:
                 f"unknown room scenario {self.scenario!r}; choose from "
                 f"{sorted(ROOM_SCENARIOS) + sorted(fault_scenarios)}"
             )
-        if self.backend not in BACKENDS:
-            raise FleetError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
+        check_task(self)
         if self.scenario in fault_scenarios and self.faults is not None:
             raise FleetError(
                 f"fault scenario {self.scenario!r} builds its own schedule; "
                 "drop the explicit faults= to avoid ambiguity"
             )
+        self.room_config  # its validators reject a bad layout here
 
     @property
     def label(self) -> str:
@@ -125,67 +119,47 @@ class RoomTask:
             crac=CRACConfig(supply_time_constant_s=self.crac_tau_s),
         )
 
+    @property
+    def chunk_key(self) -> None:
+        """``None``: a room already runs as one stacked batch, alone."""
+        return None
 
-def run_room_task(
-    task: RoomTask, queue=None, index: int | None = None
-) -> RoomResult:
-    """Build and simulate one room task (module-level: pool-picklable).
-
-    ``queue``/``index`` are the streaming-campaign plumbing (see
-    :func:`~repro.fleet.campaign.run_campaign_chunk`): snapshots and the
-    task's final record flow to the parent's
-    :class:`~repro.obs.live.CampaignStream` while the room runs.
-    """
-    t0 = time.perf_counter()
-    faults = task.faults
-    fault_scenarios = _room_fault_scenarios()
-    if task.scenario in fault_scenarios:
-        room, faults = fault_scenarios[task.scenario](
-            room=task.room_config,
-            duration_s=task.duration_s,
-            seed=task.seed,
-            scheme=task.scheme,
-        )
-    else:
+    def build(self) -> tuple[Any, FaultSchedule | None]:
+        """The room this task runs, and its fault schedule."""
+        fault_scenarios = _room_fault_scenarios()
+        if self.scenario in fault_scenarios:
+            return fault_scenarios[self.scenario](
+                room=self.room_config,
+                duration_s=self.duration_s,
+                seed=self.seed,
+                scheme=self.scheme,
+            )
         # An explicit schedule with CRAC brownouts needs dynamic supply
         # rows for the targeted units; derive them from the schedule so
         # plain room scenarios compose with CRAC faults out of the box.
         forcing_units = ()
-        if faults is not None:
+        if self.faults is not None:
             forcing_units = tuple(
-                sorted({e.server for e in faults.events_of("crac_brownout")})
+                sorted({e.server for e in self.faults.events_of("crac_brownout")})
             )
         room = build_room_scenario(
-            task.scenario,
-            room=task.room_config,
-            duration_s=task.duration_s,
-            seed=task.seed,
-            scheme=task.scheme,
+            self.scenario,
+            room=self.room_config,
+            duration_s=self.duration_s,
+            seed=self.seed,
+            scheme=self.scheme,
             forcing_units=forcing_units,
         )
-    from repro.fleet.campaign import (
-        _export_worker_trace,
-        _push_task_final,
-        _worker_collector,
-        _worker_obs,
-        worker_info,
-    )
+        return room, self.faults
 
-    collector, sink = _worker_collector(task, queue)
-    sim = RoomSimulator(
-        room,
-        dt_s=task.dt_s,
-        record_decimation=task.record_decimation,
-        backend=task.backend,
-        faults=faults,
-        obs=collector if collector is not None else _worker_obs(task.obs),
-    )
-    result = sim.run(task.duration_s, label=task.label)
-    result.extras["task"] = task
-    result.extras["worker"] = worker_info(time.perf_counter() - t0)
-    _export_worker_trace(collector, task)
-    _push_task_final(queue, index, task, result, sink)
-    return result
+    @property
+    def simulator_type(self) -> type:
+        """The simulator class that runs the built room."""
+        return RoomSimulator
+
+
+#: Room tasks run on the rack tasks' worker body; the name stays for callers.
+run_room_task = run_campaign_task
 
 
 def room_campaign_grid(

@@ -19,8 +19,6 @@ from repro.sensing.i2c import I2CBus, I2CTransaction
 from repro.sensing.noise import GaussianNoise, NoNoise, NoiseModel, UniformNoise
 from repro.sensing.power_sensor import PowerReading, PowerSensor
 from repro.sensing.sensor import SensorReading, TemperatureSensor
-from repro.sensing.sensor_array import SensorArray
-from repro.sensing.telemetry import TelemetryRecorder
 
 __all__ = [
     "AdcQuantizer",
@@ -32,9 +30,7 @@ __all__ = [
     "NoiseModel",
     "PowerReading",
     "PowerSensor",
-    "SensorArray",
     "SensorReading",
-    "TelemetryRecorder",
     "TemperatureSensor",
     "UniformNoise",
 ]

@@ -14,8 +14,6 @@ riding on top of it.  This package provides:
 * :class:`~repro.thermal.batch.BatchThermalPlant` - B such plants as
   ``(B,)`` arrays, bit-identical to the scalar ones (batch backends and
   the lockstep tuner).
-* :class:`~repro.thermal.network.ThermalNetwork` - a general multi-node RC
-  network (used for validation and extension studies).
 * Ambient profiles in :mod:`repro.thermal.ambient`.
 """
 
@@ -29,8 +27,6 @@ from repro.thermal.ambient import (
 from repro.thermal.batch import BatchThermalPlant
 from repro.thermal.die import CpuDie
 from repro.thermal.heatsink import HeatSink
-from repro.thermal.multicore import MultiCoreServerModel, MultiCoreState
-from repro.thermal.network import ThermalNetwork, ThermalNode
 from repro.thermal.rc_node import RCNode
 from repro.thermal.server import ServerState, ServerThermalModel
 from repro.thermal.steady_state import SteadyStateServerModel
@@ -43,13 +39,9 @@ __all__ = [
     "CpuDie",
     "DiurnalAmbient",
     "HeatSink",
-    "MultiCoreServerModel",
-    "MultiCoreState",
     "RCNode",
     "ServerState",
     "ServerThermalModel",
     "SteadyStateServerModel",
     "StepAmbient",
-    "ThermalNetwork",
-    "ThermalNode",
 ]

@@ -1,13 +1,10 @@
 """Unit tests for the benchmark record flush guards.
 
-A committed ``BENCH_*.json`` baseline was once clobbered by a *subset*
-benchmark run (the room rows vanished because only the obs/fleet
-modules ran) whose session had also tripped a perf gate - and
-``tools/bench_diff.py`` diffs the intersection of names, so the loss
-was silent.  ``write_records`` now refuses to flush a failing session
-and merges passing subset runs over the existing same-mode file.  The
-benchmarks directory is not a package, so the module is loaded off its
-file path.
+``write_records`` writes only into ``REPRO_BENCH_DIR``, so a plain
+``pytest`` run changes no file in the checkout, and it refuses to flush
+a failing session, whose numbers ``tools/check_bench_gates.py`` must
+not read as a pass.  The benchmarks directory is not a package, so the
+module is loaded off its file path.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ def bench_env(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_report, "_RECORDS", {})
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_BENCH_SMOKE", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_OVERWRITE", raising=False)
     return tmp_path
 
 
@@ -67,62 +63,12 @@ class TestFailingSessionGuard:
         assert payload["benchmarks"] == {"new": {"steps_per_sec": 2.0}}
         assert payload["meta"]["smoke"] is False
 
+    def test_unset_dir_writes_nothing(self, bench_env, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"wrote {self}")
 
-class TestSubsetMerge:
-    def test_subset_run_preserves_missing_same_mode_rows(self, bench_env):
-        _write_baseline(
-            bench_env,
-            smoke=False,
-            benchmarks={
-                "room4x16_stacked": {"server_steps_per_sec": 100.0},
-                "monitor_overhead": {"monitor_overhead_ratio": 1.03},
-            },
-        )
-        bench_report.bench_record(
-            "fleet", "monitor_overhead", monitor_overhead_ratio=1.02
-        )
-        bench_report.write_records()
-        benchmarks = _read(bench_env / "BENCH_fleet.json")["benchmarks"]
-        # The collected row wins; the row the session never ran survives.
-        assert benchmarks["monitor_overhead"] == {
-            "monitor_overhead_ratio": 1.02
-        }
-        assert benchmarks["room4x16_stacked"] == {
-            "server_steps_per_sec": 100.0
-        }
-
-    def test_other_mode_baseline_is_replaced_not_merged(
-        self, bench_env, monkeypatch
-    ):
-        # A CI smoke run over a checkout with committed full-mode files
-        # must not inherit full-mode rows (and vice versa).
-        _write_baseline(
-            bench_env,
-            smoke=False,
-            benchmarks={"room4x16_stacked": {"server_steps_per_sec": 100.0}},
-        )
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-        bench_report.bench_record("fleet", "monitor_overhead", ratio=1.0)
-        bench_report.write_records()
-        payload = _read(bench_env / "BENCH_fleet.json")
-        assert payload["meta"]["smoke"] is True
-        assert payload["benchmarks"] == {"monitor_overhead": {"ratio": 1.0}}
-
-    def test_overwrite_env_replaces_wholesale(self, bench_env, monkeypatch):
-        _write_baseline(
-            bench_env,
-            smoke=False,
-            benchmarks={"renamed_away": {"steps_per_sec": 1.0}},
-        )
-        monkeypatch.setenv("REPRO_BENCH_OVERWRITE", "1")
-        bench_report.bench_record("fleet", "fresh", steps_per_sec=2.0)
-        bench_report.write_records()
-        benchmarks = _read(bench_env / "BENCH_fleet.json")["benchmarks"]
-        assert benchmarks == {"fresh": {"steps_per_sec": 2.0}}
-
-    def test_corrupt_baseline_is_ignored(self, bench_env):
-        (bench_env / "BENCH_fleet.json").write_text("{not json")
-        bench_report.bench_record("fleet", "fresh", steps_per_sec=2.0)
-        bench_report.write_records()
-        benchmarks = _read(bench_env / "BENCH_fleet.json")["benchmarks"]
-        assert benchmarks == {"fresh": {"steps_per_sec": 2.0}}
+        monkeypatch.delenv("REPRO_BENCH_DIR")
+        monkeypatch.setattr(Path, "write_text", refuse)
+        bench_report.bench_record("fleet", "new", steps_per_sec=2.0)
+        bench_report.write_records(exitstatus=0)
+        assert list(bench_env.iterdir()) == []

@@ -2,12 +2,13 @@
 
 ``repro.peaks.find_peaks`` must select exactly the indices
 ``scipy.signal.find_peaks(x, prominence=p)[0]`` selects; scipy is
-imported inside the tests only, because ``import repro`` must not load
-it.
+imported inside the tests only: it is a test dependency, and no module
+under ``src/`` may import it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -112,3 +113,19 @@ def test_import_does_not_load_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_source_module_imports_scipy():
+    """An AST scan, so lazy imports inside functions count too."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []

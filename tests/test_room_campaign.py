@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import FleetError
+from repro.errors import FleetError, ReproError
 from repro.faults import FaultEvent, FaultSchedule
 from repro.fleet import CampaignRunner, CampaignTask
 from repro.room import RoomResult, RoomTask, room_campaign_grid, run_room_task
@@ -139,6 +139,30 @@ class TestRoomTask:
         )
         result = run_room_task(task)
         assert result.extras["faults"]["n_fired"] == 1
+
+
+@pytest.mark.parametrize(
+    "task_type, scenario, field, value",
+    [
+        (CampaignTask, "homogeneous", "n_servers", 0),
+        (CampaignTask, "homogeneous", "duration_s", -1.0),
+        (CampaignTask, "homogeneous", "dt_s", 0.0),
+        (CampaignTask, "homogeneous", "record_decimation", 0),
+        (CampaignTask, "homogeneous", "scheme", "bogus"),
+        (CampaignTask, "homogeneous", "recirc_fraction", 2.0),
+        (CampaignTask, "homogeneous", "faults", "x"),
+        (RoomTask, "uniform", "containment", "bogus"),
+        (RoomTask, "uniform", "scheme", "bogus"),
+        (RoomTask, "uniform", "n_rows", 0),
+        (RoomTask, "uniform", "dt_s", 0.0),
+        (RoomTask, "uniform", "record_decimation", 0),
+    ],
+)
+def test_bad_field_rejected_at_construction(task_type, scenario, field, value):
+    """Both task types fail where the campaign is built, naming the
+    field, not later inside a pool worker."""
+    with pytest.raises(ReproError, match=field):
+        task_type(scenario=scenario, **{field: value})
 
 
 class TestMixedCampaignDeterminism:

@@ -14,7 +14,6 @@ from repro.sensing.delay import DelayLine
 from repro.sensing.i2c import I2CBus
 from repro.sensing.noise import GaussianNoise, NoNoise, UniformNoise
 from repro.sensing.sensor import TemperatureSensor
-from repro.sensing.telemetry import TelemetryRecorder
 
 
 class TestAdcQuantizer:
@@ -296,75 +295,3 @@ class TestTemperatureSensor:
         sensor.read(0.0)
         assert sensor.last_reading is not None
         assert sensor.last_reading.value_c == 50.0
-
-
-class TestTelemetryRecorder:
-    def test_records_and_exports(self):
-        rec = TelemetryRecorder()
-        rec.record(t=0.0, x=1.0)
-        rec.record(t=1.0, x=2.0)
-        assert rec.length == 2
-        assert list(rec.array("x")) == [1.0, 2.0]
-
-    def test_channel_set_fixed_after_first_record(self):
-        rec = TelemetryRecorder()
-        rec.record(a=1.0)
-        with pytest.raises(Exception):
-            rec.record(b=2.0)
-
-    def test_unknown_channel_raises(self):
-        rec = TelemetryRecorder()
-        rec.record(a=1.0)
-        with pytest.raises(Exception):
-            rec.array("zzz")
-
-    def test_last(self):
-        rec = TelemetryRecorder()
-        rec.record(a=1.0)
-        rec.record(a=5.0)
-        assert rec.last("a") == 5.0
-
-    def test_arrays_returns_all(self):
-        rec = TelemetryRecorder()
-        rec.record(a=1.0, b=2.0)
-        arrays = rec.arrays()
-        assert set(arrays) == {"a", "b"}
-
-    def test_unbounded_by_default(self):
-        rec = TelemetryRecorder()
-        for i in range(100):
-            rec.record(a=float(i))
-        assert rec.max_samples is None
-        assert rec.length == rec.total_recorded == 100
-        assert rec.dropped == 0
-
-    def test_ring_keeps_most_recent_samples(self):
-        rec = TelemetryRecorder(max_samples=3)
-        for i in range(7):
-            rec.record(t=float(i), v=float(10 * i))
-        assert rec.length == 3
-        assert rec.total_recorded == 7
-        assert rec.dropped == 4
-        assert list(rec.array("t")) == [4.0, 5.0, 6.0]
-        assert list(rec.array("v")) == [40.0, 50.0, 60.0]
-
-    def test_ring_channels_stay_aligned(self):
-        rec = TelemetryRecorder(max_samples=2)
-        for i in range(5):
-            rec.record(t=float(i), v=float(-i))
-        t, v = rec.array("t"), rec.array("v")
-        assert list(t) == [3.0, 4.0]
-        assert list(v) == [-3.0, -4.0]
-        assert rec.last("v") == -4.0
-
-    def test_ring_shorter_than_cap(self):
-        rec = TelemetryRecorder(max_samples=10)
-        rec.record(a=1.0)
-        rec.record(a=2.0)
-        assert rec.length == 2
-        assert rec.dropped == 0
-        assert list(rec.array("a")) == [1.0, 2.0]
-
-    def test_invalid_cap_raises(self):
-        with pytest.raises(Exception):
-            TelemetryRecorder(max_samples=0)

@@ -139,3 +139,27 @@ class TestServerThermalModel:
         assert plant.steady_state_junction_c(0.4, 3000.0) == pytest.approx(
             steady.junction_c(0.4, 3000.0)
         )
+
+
+@pytest.mark.parametrize(
+    "util, speed",
+    [(0.0, 1500.0), (0.3, 2000.0), (0.6, 4000.0), (0.9, 6000.0), (1.0, 8000.0)],
+)
+def test_steady_state_is_series_resistance(config, util, speed):
+    """Both plants settle where Eqns 1-3 put them: die and heat sink
+    resistances in series between the junction and the ambient, at
+    operating points in both gain-schedule regions."""
+    hs = config.heatsink
+    expected = config.ambient_c + (
+        config.cpu.p_static_w + config.cpu.p_dynamic_w * util
+    ) * (
+        config.die.r_die_k_per_w
+        + hs.r_base_k_per_w
+        + hs.r_coeff / speed**hs.r_exponent
+    )
+    steady = SteadyStateServerModel(config)
+    assert steady.junction_c(util, speed) == pytest.approx(expected, abs=1e-9)
+    plant = ServerThermalModel(config)
+    assert plant.settle(util, speed).junction_c == pytest.approx(
+        expected, abs=1e-9
+    )
