@@ -141,25 +141,34 @@ class TestServerThermalModel:
         )
 
 
-@pytest.mark.parametrize(
-    "util, speed",
-    [(0.0, 1500.0), (0.3, 2000.0), (0.6, 4000.0), (0.9, 6000.0), (1.0, 8000.0)],
-)
-def test_steady_state_is_series_resistance(config, util, speed):
-    """Both plants settle where Eqns 1-3 put them: die and heat sink
-    resistances in series between the junction and the ambient, at
-    operating points in both gain-schedule regions."""
+# Operating points in both gain-schedule regions, (utilization, rpm).
+OPERATING_POINTS = [
+    (0.0, 1500.0), (0.3, 2000.0), (0.6, 4000.0), (0.9, 6000.0), (1.0, 8000.0),
+]
+
+
+def series_resistance_temps_c(config, util, speed):
+    """Eqns 1-3 in closed form: die and heat sink resistances in series
+    between the junction and the ambient. Returns (junction, heat sink)."""
     hs = config.heatsink
-    expected = config.ambient_c + (
-        config.cpu.p_static_w + config.cpu.p_dynamic_w * util
-    ) * (
-        config.die.r_die_k_per_w
-        + hs.r_base_k_per_w
-        + hs.r_coeff / speed**hs.r_exponent
-    )
-    steady = SteadyStateServerModel(config)
-    assert steady.junction_c(util, speed) == pytest.approx(expected, abs=1e-9)
-    plant = ServerThermalModel(config)
-    assert plant.settle(util, speed).junction_c == pytest.approx(
-        expected, abs=1e-9
-    )
+    power = config.cpu.p_static_w + config.cpu.p_dynamic_w * util
+    r_hs = hs.r_base_k_per_w + hs.r_coeff / speed**hs.r_exponent
+    heatsink = config.ambient_c + power * r_hs
+    return heatsink + power * config.die.r_die_k_per_w, heatsink
+
+
+class TestSeriesResistance:
+    def test_two_node_steady_state_matches_series_resistance(self, config):
+        plant = ServerThermalModel(config)
+        for util, speed in OPERATING_POINTS:
+            junction, heatsink = series_resistance_temps_c(config, util, speed)
+            state = plant.settle(util, speed)
+            assert state.junction_c == pytest.approx(junction, abs=1e-9)
+            assert state.heatsink_c == pytest.approx(heatsink, abs=1e-9)
+
+    def test_steady_state_model_matches_series_resistance(self, steady):
+        for util, speed in OPERATING_POINTS:
+            junction, _ = series_resistance_temps_c(steady.config, util, speed)
+            assert steady.junction_c(util, speed) == pytest.approx(
+                junction, abs=1e-9
+            )
