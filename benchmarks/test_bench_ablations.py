@@ -5,10 +5,11 @@
 * gain-schedule region count (Section IV-B),
 * SSfan trigger threshold (Section V-C).
 
-Each prints a small table of the swept metric.  The grids run through
-``spec_builder``/:class:`~repro.sim.batch.BatchRunSpec`, so the whole
-ablation executes on the vectorized batch backend as one ``(B,)`` array
-run (identical results to per-point scalar simulation).
+Each prints a small table of the swept metric.  The grids are lists of
+:class:`~repro.sim.batch.BatchRunSpec` run by
+:func:`~repro.sim.batch.run_batch`, so the whole ablation executes on
+the vectorized batch backend as one ``(B,)`` array run (identical
+results to per-point scalar simulation).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.sim.scenarios import (
     fan_only_spec,
     paper_workload,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.thermal.steady_state import SteadyStateServerModel
 from repro.workload.synthetic import ConstantWorkload
 
@@ -87,21 +87,13 @@ def _lag_spec(lag_s: float) -> BatchRunSpec:
 
 def test_ablation_lag_sweep(benchmark):
     """Longer transport lag -> larger junction excursions."""
-    sweep_harness = ParameterSweep(
-        spec_builder=_lag_spec,
-        metric_fns={
-            "max_junction_c": lambda r: r.max_junction_c,
-            "violation_percent": lambda r: r.violation_percent,
-        },
-    )
+    lags = [0.0, 5.0, 10.0, 20.0]
 
     def sweep():
-        points = sweep_harness.run(
-            [0.0, 5.0, 10.0, 20.0], backend="vectorized"
-        )
+        results = run_batch([_lag_spec(lag) for lag in lags])
         return [
-            [p.value, p.metrics["max_junction_c"], p.metrics["violation_percent"]]
-            for p in points
+            [lag, r.max_junction_c, r.violation_percent]
+            for lag, r in zip(lags, results)
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -198,10 +190,9 @@ def test_ablation_tuning_signal(benchmark):
 def test_ablation_ssfan_threshold(benchmark):
     """SSfan trigger threshold: lower thresholds boost more often.
 
-    SSfan controllers cannot vectorize, so inside the batch run each
-    server's DTM steps its scalar objects (per-server fallback) while
-    plant/sensing stay batched - which is what lets ``scaler`` keep its
-    boost count readable after the run.
+    The batch controller vectorizes SSfan with a per-server threshold
+    and syncs each scaler's state back after the run, which is what
+    lets ``scalers`` report the boost counts.
     """
     cfg = ServerConfig()
     steady = SteadyStateServerModel(cfg)
@@ -223,25 +214,14 @@ def test_ablation_ssfan_threshold(benchmark):
             label=f"threshold={threshold:g}",
         )
 
-    sweep_harness = ParameterSweep(
-        spec_builder=ssfan_spec,
-        metric_fns={
-            "violation_percent": lambda r: r.violation_percent,
-            "fan_energy_j": lambda r: r.fan_energy_j,
-        },
-    )
+    thresholds = [0.04, 0.08, 0.16]
 
     def sweep():
         scalers.clear()
-        points = sweep_harness.run([0.04, 0.08, 0.16], backend="vectorized")
+        results = run_batch([ssfan_spec(t) for t in thresholds])
         return [
-            [
-                p.value,
-                scalers[p.value].boost_count,
-                p.metrics["violation_percent"],
-                p.metrics["fan_energy_j"],
-            ]
-            for p in points
+            [t, scalers[t].boost_count, r.violation_percent, r.fan_energy_j]
+            for t, r in zip(thresholds, results)
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -102,7 +102,6 @@ from repro.sim import (
     SCHEME_NAMES,
     BatchGlobalController,
     BatchRunSpec,
-    ParameterSweep,
     ServerStepper,
     SimulationResult,
     Simulator,
@@ -151,7 +150,6 @@ __all__ = [
     "ObsCollector",
     "ObsConfig",
     "PIDController",
-    "ParameterSweep",
     "PIDGains",
     "QuantizationGuard",
     "Rack",

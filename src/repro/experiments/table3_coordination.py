@@ -37,9 +37,9 @@ def run_all_schemes(
     """One run per scheme per seed, batched as a single ``(B,)`` grid.
 
     All scheme x seed cells share the time grid, so the whole table runs
-    through the vectorized backend in one go (schemes whose controllers
-    cannot batch - SSfan, E-coord - fall back per server inside the
-    batch), with results identical to per-cell scalar runs.
+    through the vectorized backend in one go (every Table III scheme,
+    SSfan and E-coord included, runs on the array controller), with
+    results identical to per-cell scalar runs.
     """
     cfg = config or ServerConfig()
     cells = [(scheme, seed) for scheme in SCHEME_NAMES for seed in seeds]

@@ -35,10 +35,9 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import Any, Iterable, Sequence
 
-from repro.config import FleetConfig
+from repro.config import FleetConfig, ServerConfig
 from repro.errors import FleetError
 from repro.faults.events import FaultSchedule
 from repro.fleet.result import FleetResult
@@ -46,6 +45,7 @@ from repro.fleet.scenarios import FLEET_SCENARIOS, build_fleet_scenario
 from repro.obs.collector import ObsCollector, ObsConfig, merge_summaries
 from repro.obs.sinks import QueueSink
 from repro.sim.backends import BACKENDS
+from repro.sim.engine import _validate_timing
 from repro.sim.parallel import parallel_map, resolve_workers
 from repro.sim.scenarios import SCHEME_NAMES
 from repro.units import check_duration
@@ -72,12 +72,11 @@ def check_task(task) -> None:
             f"unknown scheme {task.scheme!r}; choose from {SCHEME_NAMES}"
         )
     check_duration(task.duration_s, "duration_s")
-    check_duration(task.dt_s, "dt_s")
-    decimation = task.record_decimation
-    if not isinstance(decimation, Integral) or decimation < 1:
-        raise FleetError(
-            f"record_decimation must be a positive integer, got {decimation!r}"
-        )
+    # Every rack and room builder wires its servers from ServerConfig(),
+    # so the drivers will check the grid against its CPU interval.
+    _validate_timing(
+        task.dt_s, ServerConfig().control.cpu_interval_s, task.record_decimation
+    )
     if task.faults is not None and not isinstance(task.faults, FaultSchedule):
         raise FleetError(
             "task faults must be a FaultSchedule or None, got "
@@ -308,15 +307,17 @@ def run_campaign_chunk(
     queue=None,
     indices: Sequence[int] | None = None,
 ) -> list[FleetResult]:
-    """Run a chunk of same-shape tasks as one stacked batch.
+    """Run a chunk of tasks sharing one ``chunk_key`` as one stacked batch.
 
     Module-level and picklable, like :func:`run_campaign_task`.  Racks
     stack with block-diagonal coupling (mutually independent), so each
     result is bit-for-bit identical to its solo run; when the chunk
     cannot stack (room tasks, scalar backend requested, or a rack the
     batch backend cannot represent) every task silently falls back to
-    its own :func:`run_campaign_task` run.  A chunk mixing rack and room
-    tasks raises :class:`~repro.errors.FleetError`.
+    its own :func:`run_campaign_task` run.  The stack runs on one time
+    grid and backend, so tasks whose ``chunk_key`` differs - a rack
+    task next to a room task among them - raise
+    :class:`~repro.errors.FleetError`.
 
     ``queue``/``indices`` are the streaming-campaign plumbing: when a
     :class:`~repro.obs.live.CampaignStream` is attached, each task's
@@ -326,11 +327,13 @@ def run_campaign_chunk(
     tasks = list(tasks)
     if indices is None:
         indices = list(range(len(tasks)))
-    if len({type(task) for task in tasks}) > 1:
-        raise FleetError(
-            "a campaign chunk must be all rack tasks or all room tasks; "
-            "CampaignRunner never mixes them within one chunk"
-        )
+    for task in tasks[1:]:
+        if task.chunk_key != tasks[0].chunk_key:
+            raise FleetError(
+                f"campaign chunk tasks {tasks[0].label!r} and {task.label!r} "
+                "have different chunk keys; CampaignRunner never puts "
+                "them in one chunk"
+            )
     from repro.room import run_stacked_racks, stacked_unsupported_reason
 
     built = [task.build() for task in tasks]

@@ -46,10 +46,6 @@ class FleetSimulator(_LockstepDriver):
     record_decimation:
         Telemetry decimation (a positive integer), applied uniformly so
         per-server traces stay aligned for fleet metrics.
-    violation_tolerance, degradation_window:
-        Per-server :class:`~repro.workload.performance.DeadlineTracker`
-        parameters (same meaning as in
-        :class:`~repro.sim.engine.Simulator`).
     backend:
         ``"auto"`` (vectorized when the rack supports it), ``"scalar"``,
         ``"vectorized"``, or ``"fused"`` (the array backends fall back
@@ -71,8 +67,6 @@ class FleetSimulator(_LockstepDriver):
         rack: Rack,
         dt_s: float = 0.1,
         record_decimation: int = 1,
-        violation_tolerance: float = 0.01,
-        degradation_window: int = 10,
         backend: str = "auto",
         faults=None,
         obs=None,
@@ -82,8 +76,6 @@ class FleetSimulator(_LockstepDriver):
             rack.coupling,
             dt_s=dt_s,
             record_decimation=record_decimation,
-            violation_tolerance=violation_tolerance,
-            degradation_window=degradation_window,
             backend=backend,
             faults=faults,
             obs=obs,

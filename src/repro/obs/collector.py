@@ -538,33 +538,17 @@ class ObsCollector:
     def trace_events(self) -> list[dict[str, Any]]:
         """Chrome-trace events (microseconds since the first span).
 
-        Phase and macro spans export as "complete" events (``ph: "X"``).
-        Zero-duration spans - incident onsets - export as thread-scoped
-        *instant* events (``ph: "i"``): Perfetto draws a complete event
-        with ``dur: 0`` as nothing at all, so detector firings would be
-        invisible on the phase timeline.
+        One :func:`trace_event` per span, on lane 0 with ``tid`` set to
+        the span's nesting depth.
         """
         spans = self.spans()
         if not spans:
             return []
         t0 = min(span.start_s for span in spans)
-        events = []
-        for span in spans:
-            event: dict[str, Any] = {
-                "name": span.name,
-                "ts": (span.start_s - t0) * 1e6,
-                "pid": 0,
-                "tid": span.depth,
-                "cat": "repro",
-            }
-            if span.start_s == span.end_s:
-                event["ph"] = "i"
-                event["s"] = "t"
-            else:
-                event["ph"] = "X"
-                event["dur"] = span.duration_s * 1e6
-            events.append(event)
-        return events
+        return [
+            trace_event(span.name, span.start_s, span.end_s, t0, 0, span.depth)
+            for span in spans
+        ]
 
     def chrome_trace(self) -> dict[str, Any]:
         """The full Chrome trace document (load in ``chrome://tracing``)."""
@@ -605,6 +589,33 @@ class ObsCollector:
                     + "\n"
                 )
         return len(spans)
+
+
+def trace_event(
+    name: str, start_s: float, end_s: float, t0: float, pid: int, tid: int
+) -> dict[str, Any]:
+    """One span as a Chrome trace event, timed in microseconds since ``t0``.
+
+    Phase and macro spans export as "complete" events (``ph: "X"``).
+    Zero-duration spans - incident onsets - export as thread-scoped
+    *instant* events (``ph: "i"``): Perfetto draws a complete event with
+    ``dur: 0`` as nothing at all, so detector firings would be invisible
+    on the phase timeline.
+    """
+    event: dict[str, Any] = {
+        "name": name,
+        "ts": (start_s - t0) * 1e6,
+        "pid": pid,
+        "tid": tid,
+        "cat": "repro",
+    }
+    if start_s == end_s:
+        event["ph"] = "i"
+        event["s"] = "t"
+    else:
+        event["ph"] = "X"
+        event["dur"] = (end_s - start_s) * 1e6
+    return event
 
 
 def resolve_obs(obs: Any) -> ObsCollector | None:

@@ -52,6 +52,7 @@ from typing import Any, Iterable
 
 from repro.analysis.report import format_table
 from repro.errors import ObsError
+from repro.obs.collector import trace_event
 from repro.obs.export import QUANTILES, quantiles_from_hist
 
 
@@ -328,22 +329,16 @@ def merge_traces(
         known = labels_by_pid.setdefault(pid, [])
         if label and label not in known:
             known.append(label)
-        start = float(record["start_s"])
-        end = float(record["end_s"])
-        event: dict[str, Any] = {
-            "name": str(record.get("name", "?")),
-            "ts": (start - t0) * 1e6,
-            "pid": pid,
-            "tid": int(record.get("depth", 0)),
-            "cat": "repro",
-        }
-        if start == end:
-            event["ph"] = "i"
-            event["s"] = "t"
-        else:
-            event["ph"] = "X"
-            event["dur"] = (end - start) * 1e6
-        events.append(event)
+        events.append(
+            trace_event(
+                str(record.get("name", "?")),
+                float(record["start_s"]),
+                float(record["end_s"]),
+                t0,
+                pid,
+                int(record.get("depth", 0)),
+            )
+        )
     for pid in sorted(labels_by_pid):
         labels = labels_by_pid[pid]
         name = f"worker {pid}" if pid >= 0 else "trace"

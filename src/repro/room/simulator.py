@@ -75,8 +75,6 @@ class _LockstepDriver:
         room: Room | None = None,
         dt_s: float = 0.1,
         record_decimation: int = 1,
-        violation_tolerance: float = 0.01,
-        degradation_window: int = 10,
         backend: str = "auto",
         faults=None,
         obs=None,
@@ -97,8 +95,6 @@ class _LockstepDriver:
         self._coupling = coupling
         self._room = room
         self._decimation = record_decimation
-        self._violation_tolerance = violation_tolerance
-        self._degradation_window = degradation_window
         self._backend = backend
         self._faults = faults
         self._obs = resolve_obs(obs)
@@ -158,13 +154,7 @@ class _LockstepDriver:
                 inlet_limit_c=self._inlet_limit_c,
             )
 
-        trackers = [
-            DeadlineTracker(
-                tolerance=self._violation_tolerance,
-                window=self._degradation_window,
-            )
-            for _ in self._slots
-        ]
+        trackers = [DeadlineTracker() for _ in self._slots]
         run_span = obs.span("run") if obs is not None else nullcontext()
         if self._backend == "scalar" or reason is not None:
             results, extras = self._run_scalar(
@@ -317,8 +307,6 @@ class RoomSimulator(_LockstepDriver):
         room: Room,
         dt_s: float = 0.1,
         record_decimation: int = 1,
-        violation_tolerance: float = 0.01,
-        degradation_window: int = 10,
         backend: str = "auto",
         inlet_limit_c: float | None = None,
         faults=None,
@@ -330,8 +318,6 @@ class RoomSimulator(_LockstepDriver):
             room=room,
             dt_s=dt_s,
             record_decimation=record_decimation,
-            violation_tolerance=violation_tolerance,
-            degradation_window=degradation_window,
             backend=backend,
             faults=faults,
             obs=obs,
@@ -377,18 +363,14 @@ def run_stacked_racks(
     duration_s: float,
     dt_s: float = 0.1,
     record_decimation: int = 1,
-    violation_tolerance: float = 0.01,
-    degradation_window: int = 10,
     labels: Sequence[str] | None = None,
-    coupling: CouplingOperator | None = None,
     backend: str = "vectorized",
 ) -> list[FleetResult]:
     """Run R racks as one stacked ``(R*B,)`` batch on an array lane.
 
-    With the default block-diagonal coupling the racks stay mutually
-    independent and every per-rack result is bit-for-bit identical to a
-    standalone ``FleetSimulator`` run of that rack on the same lane;
-    passing a room-wide operator couples them.  Raises
+    The block-diagonal coupling keeps the racks mutually independent, so
+    every per-rack result is bit-for-bit identical to a standalone
+    ``FleetSimulator`` run of that rack on the same lane.  Raises
     :class:`~repro.errors.SimulationError` when the racks cannot stack
     (see :func:`~repro.room.stack.stacked_unsupported_reason`).
     """
@@ -397,15 +379,11 @@ def run_stacked_racks(
         raise SimulationError("stacked batch unsupported: no racks")
     if labels is None:
         labels = [f"rack{r:02d}" for r in range(len(racks))]
-    if coupling is None:
-        coupling = SparseCoupling.from_racks(racks)
     driver = _LockstepDriver(
         racks,
-        coupling,
+        SparseCoupling.from_racks(racks),
         dt_s=dt_s,
         record_decimation=record_decimation,
-        violation_tolerance=violation_tolerance,
-        degradation_window=degradation_window,
         backend=lane,
         strict=True,
     )

@@ -7,12 +7,15 @@
 * :class:`~repro.sim.result.SimulationResult` - telemetry + metrics.
 * :mod:`repro.sim.scenarios` - canned builders for every paper experiment
   (the five Table III schemes, the Fig. 3/4 fan-only setups, workloads).
-* :class:`~repro.sim.sweep.ParameterSweep` - sweep harness (optionally
-  parallel via :func:`~repro.sim.parallel.parallel_map`).
+* :func:`~repro.sim.batch.run_batch` - the one runner of independent
+  closed loops (sweep grids, Table III cells) on every lane: each spec
+  through ``Simulator`` on ``"scalar"``, one batch on the array lanes,
+  with a recorded fallback to scalar when the specs cannot batch.
+  :func:`~repro.sim.parallel.parallel_map` spreads other per-value work
+  over a process pool.
 * :mod:`repro.sim.batch` - the vectorized batch backend
-  (:class:`~repro.sim.batch.BatchStepper`,
-  :func:`~repro.sim.batch.run_batch`): whole racks and sweep grids as
-  ``(B,)`` array ops per ``dt``, bit-for-bit with the scalar engine.
+  (:class:`~repro.sim.batch.BatchStepper`): whole racks and sweep grids
+  as ``(B,)`` array ops per ``dt``, bit-for-bit with the scalar engine.
 * :mod:`repro.sim.batch_control` - the vectorized controller backend
   (:class:`~repro.sim.batch_control.BatchGlobalController`): the common
   DTM composition advanced for all servers as array ops at CPU-period
@@ -41,18 +44,15 @@ from repro.sim.scenarios import (
     run_fan_only,
     run_scheme,
 )
-from repro.sim.sweep import ParameterSweep, SweepPoint
 
 __all__ = [
     "BatchGlobalController",
     "BatchRunSpec",
     "BatchStepper",
-    "ParameterSweep",
     "SCHEME_NAMES",
     "ServerStepper",
     "SimulationResult",
     "Simulator",
-    "SweepPoint",
     "batch_controller_unsupported_reason",
     "batch_unsupported_reason",
     "build_global_controller",

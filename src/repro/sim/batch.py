@@ -45,10 +45,11 @@ rack or a sweep grid pays the whole interpreter overhead B times per
 Heterogeneous *parameters* (per-server sensing quality, workloads,
 power envelopes) batch fine; heterogeneous *structure* (time-varying
 ambient profiles, custom plant or sensor subclasses, pre-used sensors)
-does not, and :func:`batch_unsupported_reason` reports why so callers
-can fall back to the scalar path.  Controller compositions are softer:
-an unsupported controller only demotes *its own server's* control step
-to the scalar objects (see :attr:`BatchStepper.controller_fallbacks`).
+does not: :func:`batch_unsupported_reason` reports why, and
+:func:`run_batch` then runs the scalar lane and records the reason.
+Controller compositions are softer: an unsupported controller only
+demotes *its own server's* control step to the scalar objects (see
+:attr:`BatchStepper.controller_fallbacks`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ from repro.sim.batch_control import (
 from repro.power.energy import EnergyBreakdown
 from repro.sensing.noise import GaussianNoise, NoNoise, UniformNoise
 from repro.sensing.sensor import TemperatureSensor
-from repro.sim.engine import TELEMETRY_CHANNELS, _validate_timing
+from repro.sim.backends import BACKENDS, batch_stepper
+from repro.sim.engine import TELEMETRY_CHANNELS, Simulator, _validate_timing
 from repro.sim.result import SimulationResult
 from repro.thermal.ambient import ConstantAmbient, CoupledInlet
 from repro.thermal.batch import BatchThermalPlant
@@ -1324,8 +1326,8 @@ class BatchStepper:
 class BatchRunSpec:
     """One independent closed-loop run for :func:`run_batch`.
 
-    Field defaults match :class:`~repro.sim.engine.Simulator`, so a spec
-    and a Simulator built from the same pieces produce identical results.
+    Field defaults match :class:`~repro.sim.engine.Simulator`'s, which
+    the scalar lane of :func:`run_batch` builds from the spec.
     """
 
     plant: ServerThermalModel
@@ -1335,26 +1337,30 @@ class BatchRunSpec:
     duration_s: float
     dt_s: float = 0.1
     record_decimation: int = 1
-    violation_tolerance: float = 0.01
-    degradation_window: int = 10
     label: str = "run"
 
 
 def run_batch(
     specs: Sequence[BatchRunSpec], backend: str = "vectorized"
 ) -> list[SimulationResult]:
-    """Run independent (uncoupled) closed loops as one batch.
+    """Run independent (uncoupled) closed loops on one lane, in spec order.
 
     All specs must share ``duration_s``, ``dt_s``, and
-    ``record_decimation`` (one time grid).  ``backend`` picks the batch
-    lane (``"vectorized"``/``"auto"`` or ``"fused"``, resolved by
-    :func:`repro.sim.backends.batch_stepper`).  Raises
-    :class:`~repro.errors.SimulationError` when the servers cannot batch;
-    callers wanting a silent fallback should check
-    :func:`batch_unsupported_reason` first or catch the error.
+    ``record_decimation`` (one time grid).  ``backend`` is a name from
+    :data:`~repro.sim.backends.BACKENDS`: ``"scalar"`` runs each spec
+    through :class:`~repro.sim.engine.Simulator`; ``"auto"``,
+    ``"vectorized"`` and ``"fused"`` run the specs as one batch when
+    :func:`batch_unsupported_reason` accepts them and otherwise fall
+    back to the scalar lane.  Every result records the lane that ran in
+    ``extras["backend"]``, and a fallback its reason in
+    ``extras["fallback_reason"]``.
     """
     if not specs:
         raise SimulationError("run_batch needs at least one spec")
+    if backend not in BACKENDS:
+        raise SimulationError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
+        )
     first = specs[0]
     for spec in specs:
         if (
@@ -1370,23 +1376,40 @@ def run_batch(
         raise SimulationError(
             f"duration {first.duration_s} shorter than one step"
         )
-    from repro.sim.backends import batch_stepper
-
-    _, stepper_cls = batch_stepper(backend)
-    stepper = stepper_cls(
-        plants=[spec.plant for spec in specs],
-        sensors=[spec.sensor for spec in specs],
-        workloads=[spec.workload for spec in specs],
-        controllers=[spec.controller for spec in specs],
-        n_steps=n_steps,
-        dt_s=first.dt_s,
-        record_decimation=first.record_decimation,
-        trackers=[
-            DeadlineTracker(
-                tolerance=spec.violation_tolerance, window=spec.degradation_window
-            )
+    plants = [spec.plant for spec in specs]
+    sensors = [spec.sensor for spec in specs]
+    reason = None
+    if backend != "scalar":
+        reason = batch_unsupported_reason(plants, sensors)
+    if backend == "scalar" or reason is not None:
+        results = [
+            Simulator(
+                spec.plant,
+                spec.sensor,
+                spec.workload,
+                spec.controller,
+                dt_s=spec.dt_s,
+                record_decimation=spec.record_decimation,
+            ).run(spec.duration_s, label=spec.label)
             for spec in specs
-        ],
-    )
-    stepper.run()
-    return stepper.finish([spec.label for spec in specs])
+        ]
+        extras = {"backend": "scalar"}
+        if reason is not None:
+            extras["fallback_reason"] = reason
+    else:
+        lane, stepper_cls = batch_stepper(backend)
+        stepper = stepper_cls(
+            plants=plants,
+            sensors=sensors,
+            workloads=[spec.workload for spec in specs],
+            controllers=[spec.controller for spec in specs],
+            n_steps=n_steps,
+            dt_s=first.dt_s,
+            record_decimation=first.record_decimation,
+        )
+        stepper.run()
+        results = stepper.finish([spec.label for spec in specs])
+        extras = {"backend": lane}
+    for result in results:
+        result.extras.update(extras)
+    return results

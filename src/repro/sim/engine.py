@@ -375,14 +375,12 @@ class Simulator:
         integrator).
     record_decimation:
         Record telemetry every N-th step (1 = every step).
-    violation_tolerance:
-        Utilization deficit above which a CPU period counts as a deadline
-        violation (see :class:`~repro.workload.performance.DeadlineTracker`).
     faults:
         Optional :class:`~repro.faults.events.FaultSchedule`; installs
         the fault-injection hooks and the telemetry watchdog for the run
-        (see :mod:`repro.faults`).  :attr:`fault_summary` reports what
-        fired afterwards.
+        (see :mod:`repro.faults`).  What fired lands in
+        ``result.extras["faults"]``, as on the rack and room drivers,
+        and :attr:`fault_summary` returns the same dict.
     obs:
         Optional :class:`~repro.obs.ObsCollector` or
         :class:`~repro.obs.ObsConfig`; instruments the run with phase
@@ -400,8 +398,6 @@ class Simulator:
         controller: GlobalController,
         dt_s: float = 0.1,
         record_decimation: int = 1,
-        violation_tolerance: float = 0.01,
-        degradation_window: int = 10,
         faults=None,
         obs=None,
     ) -> None:
@@ -413,9 +409,7 @@ class Simulator:
             dt_s, controller.control.cpu_interval_s, record_decimation
         )
         self._decimation = record_decimation
-        self._tracker = DeadlineTracker(
-            tolerance=violation_tolerance, window=degradation_window
-        )
+        self._tracker = DeadlineTracker()
         self._faults = faults
         self._fault_summary: dict | None = None
         from repro.obs.collector import resolve_obs
@@ -441,8 +435,8 @@ class Simulator:
     def fault_summary(self) -> dict | None:
         """What the fault schedule did during the most recent run.
 
-        ``None`` until a run with ``faults`` completes; fleet and room
-        simulators surface the same dict as ``extras["faults"]``.
+        ``None`` until a run with ``faults`` completes; otherwise the
+        dict that run attached as ``result.extras["faults"]``.
         """
         return self._fault_summary
 
@@ -503,12 +497,12 @@ class Simulator:
         else:
             while not stepper.done:
                 stepper.step()
-        if injector is not None:
-            # The simulated horizon (n_steps * dt) can differ from the
-            # requested duration by up to half a step after rounding;
-            # summarize over what actually ran, like the fleet lanes.
-            self._fault_summary = injector.summary(n_steps * self._dt)
         result = stepper.finish(label)
+        if injector is not None:
+            from repro.faults.injector import attach_fault_summary
+
+            attach_fault_summary(result.extras, injector, n_steps * self._dt)
+            self._fault_summary = result.extras["faults"]
         if obs is not None:
             obs.finish_run(self._plant.time_s)
             result.extras["obs"] = obs.summary()

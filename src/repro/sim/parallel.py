@@ -1,12 +1,13 @@
-"""Order-preserving serial/parallel map shared by sweeps and campaigns.
+"""Order-preserving serial/parallel map for campaigns and per-value runs.
 
-Both :class:`~repro.sim.sweep.ParameterSweep` and
-:class:`~repro.fleet.campaign.CampaignRunner` fan independent work items
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  The policy
-lives here so they behave identically: results come back in input order,
-``workers`` of ``None``/``0``/``1`` means run serially in-process, and
-the work function plus items must be picklable once a pool is involved
-(module-level functions and frozen dataclasses qualify; lambdas do not).
+:class:`~repro.fleet.campaign.CampaignRunner` fans its chunks out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` with
+:func:`parallel_map`, and so can a sweep whose points are not batchable
+specs for :func:`~repro.sim.batch.run_batch`.  The policy: results come
+back in input order, ``workers`` of ``None``/``0``/``1`` means run
+serially in-process, and the work function plus items must be picklable
+once a pool is involved (module-level functions and frozen dataclasses
+qualify; lambdas do not).
 """
 
 from __future__ import annotations

@@ -39,8 +39,7 @@ from repro.core.tuning import default_gain_schedule
 from repro.core.uncoordinated import UncoordinatedCoordinator
 from repro.errors import ExperimentError
 from repro.sensing.sensor import TemperatureSensor
-from repro.sim.batch import BatchRunSpec
-from repro.sim.engine import Simulator
+from repro.sim.batch import BatchRunSpec, run_batch
 from repro.sim.result import SimulationResult
 from repro.thermal.server import ServerThermalModel
 from repro.thermal.steady_state import SteadyStateServerModel
@@ -230,10 +229,9 @@ def scheme_spec(
 ) -> BatchRunSpec:
     """One Table III scheme run as a batchable spec.
 
-    The spec wires exactly what :func:`run_scheme` wires, so running it
-    through :func:`~repro.sim.batch.run_batch` (alone or inside a grid)
-    or a scalar :class:`~repro.sim.engine.Simulator` gives identical
-    results.
+    :func:`run_scheme` runs this spec on the scalar lane of
+    :func:`~repro.sim.batch.run_batch`; the vectorized lane, alone or
+    inside a grid, gives identical results.
     """
     cfg = config or ServerConfig()
     return BatchRunSpec(
@@ -260,7 +258,7 @@ def run_scheme(
     dt_s: float = 0.1,
     record_decimation: int = 10,
 ) -> SimulationResult:
-    """Run one Table III scheme on the paper workload."""
+    """Run one Table III scheme on the paper workload (scalar lane)."""
     spec = scheme_spec(
         scheme,
         duration_s=duration_s,
@@ -271,15 +269,7 @@ def run_scheme(
         dt_s=dt_s,
         record_decimation=record_decimation,
     )
-    sim = Simulator(
-        spec.plant,
-        spec.sensor,
-        spec.workload,
-        spec.controller,
-        dt_s=spec.dt_s,
-        record_decimation=spec.record_decimation,
-    )
-    return sim.run(spec.duration_s, label=spec.label)
+    return run_batch([spec], backend="scalar")[0]
 
 
 def fan_only_spec(
@@ -296,7 +286,7 @@ def fan_only_spec(
     """A bare fan-controller run (no CPU capper) as a batchable spec.
 
     The Figs 3 and 4 setup of :func:`run_fan_only`, expressed so ablation
-    grids can run on the vectorized backend.
+    grids can run on any lane of :func:`~repro.sim.batch.run_batch`.
     """
     cfg = config or ServerConfig()
     controller = GlobalController(
@@ -348,12 +338,4 @@ def run_fan_only(
         record_decimation=record_decimation,
         label=label,
     )
-    sim = Simulator(
-        spec.plant,
-        spec.sensor,
-        spec.workload,
-        spec.controller,
-        dt_s=spec.dt_s,
-        record_decimation=spec.record_decimation,
-    )
-    return sim.run(spec.duration_s, label=spec.label)
+    return run_batch([spec], backend="scalar")[0]

@@ -13,6 +13,7 @@ coupling kind.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from repro.sensing.noise import GaussianNoise
 from repro.sensing.sensor import TemperatureSensor
 from repro.sim import (
     BatchRunSpec,
-    ParameterSweep,
     Simulator,
     batch_unsupported_reason,
     build_global_controller,
@@ -79,17 +79,21 @@ def _scenario_rack(name: str, recirc: float = 0.3, seed: int = 11):
     )
 
 
+def _assert_runs_identical(a, b, what: str) -> None:
+    """Two SimulationResults must agree bit-for-bit."""
+    for name, channel in a.channels.items():
+        assert np.array_equal(channel, b.channels[name]), (
+            f"{what} channel {name} diverged"
+        )
+    assert a.performance == b.performance, f"{what} performance"
+    assert a.energy == b.energy, f"{what} energy"
+
+
 def _assert_results_identical(a, b):
     """Two FleetResults must agree bit-for-bit."""
     assert a.n_servers == b.n_servers
     for i in range(a.n_servers):
-        ra, rb = a.server(i), b.server(i)
-        for name, channel in ra.channels.items():
-            assert np.array_equal(channel, rb.channels[name]), (
-                f"server {i} channel {name} diverged"
-            )
-        assert ra.performance == rb.performance, f"server {i} performance"
-        assert ra.energy == rb.energy, f"server {i} energy"
+        _assert_runs_identical(a.server(i), b.server(i), f"server {i}")
     assert a.mean_inlet_c == b.mean_inlet_c
 
 
@@ -206,50 +210,35 @@ def _sweep_spec(lag_s: float) -> BatchRunSpec:
 
 
 class TestSweepEquivalence:
+    """A lag grid through :func:`run_batch`, lane against lane."""
+
     def test_vectorized_sweep_matches_scalar_runner(self):
         values = [0.0, 5.0, 10.0, 20.0]
-        metric_fns = {"fan_j": lambda r: r.fan_energy_j}
-        scalar = ParameterSweep(_sweep_runner, metric_fns).run(values)
-        vectorized = ParameterSweep(
-            _sweep_runner, metric_fns, spec_builder=_sweep_spec
-        ).run(values, backend="vectorized")
-        for ps, pv in zip(scalar, vectorized):
-            assert ps.value == pv.value
-            assert ps.metrics == pv.metrics
-            for name, channel in ps.result.channels.items():
-                assert np.array_equal(channel, pv.result.channels[name]), (
-                    f"value {ps.value} channel {name} diverged"
-                )
-            assert ps.result.performance == pv.result.performance
-            assert ps.result.energy == pv.result.energy
+        reference = [_sweep_runner(value) for value in values]
+        for backend in ("scalar", "vectorized"):
+            results = run_batch(
+                [_sweep_spec(value) for value in values], backend=backend
+            )
+            for value, ref, result in zip(values, reference, results):
+                assert result.extras["backend"] == backend
+                assert "fallback_reason" not in result.extras
+                _assert_runs_identical(ref, result, f"{backend} lag {value}")
 
     def test_spec_only_sweep_scalar_backend(self):
-        points = ParameterSweep(spec_builder=_sweep_spec).run([0.0, 10.0])
-        assert [p.result.label for p in points] == ["lag=0.0", "lag=10.0"]
+        results = run_batch([_sweep_spec(0.0), _sweep_spec(10.0)], "scalar")
+        assert [r.label for r in results] == ["lag=0.0", "lag=10.0"]
 
     def test_auto_sweep_runs_vectorized_lane(self):
         values = [0.0, 10.0]
-        sweep = ParameterSweep(spec_builder=_sweep_spec)
-        auto = sweep.run(values, backend="auto")
-        vectorized = sweep.run(values, backend="vectorized")
-        for pa, pv in zip(auto, vectorized):
-            for name, channel in pa.result.channels.items():
-                assert np.array_equal(channel, pv.result.channels[name])
-            assert pa.result.energy == pv.result.energy
+        auto = run_batch([_sweep_spec(v) for v in values], backend="auto")
+        vectorized = run_batch([_sweep_spec(v) for v in values])
+        for value, ra, rv in zip(values, auto, vectorized):
+            assert ra.extras == {"backend": "vectorized"}
+            _assert_runs_identical(ra, rv, f"lag {value}")
 
     def test_unknown_backend_rejected(self):
-        sweep = ParameterSweep(_sweep_runner, spec_builder=_sweep_spec)
         with pytest.raises(SimulationError, match="choose from"):
-            sweep.run([1.0], backend="vectorised")
-
-    def test_vectorized_without_spec_builder_rejected(self):
-        sweep = ParameterSweep(_sweep_runner)
-        with pytest.raises(SimulationError):
-            sweep.run([1.0], backend="vectorized")
-
-    def test_sweep_needs_runner_or_spec_builder(self):
-        with pytest.raises(SimulationError):
-            ParameterSweep()
+            run_batch([_sweep_spec(1.0)], backend="vectorised")
 
 
 class TestFallback:
@@ -317,6 +306,24 @@ class TestFallback:
         assert batch_unsupported_reason(plants, sensors(1.0, 1.0, 1.0)) is None
         reason = batch_unsupported_reason(plants, sensors(1.0, 0.5, 1.0))
         assert reason is not None and "server 1" in reason and "noise" in reason
+
+    @pytest.mark.parametrize("backend", ["auto", "vectorized", "fused"])
+    def test_run_batch_falls_back_on_time_varying_ambient(self, backend):
+        """A grid the array lanes cannot represent runs on the scalar
+        lane, records why, and matches that lane bit-for-bit."""
+
+        def specs():
+            stepped = ServerThermalModel(
+                ServerConfig(), ambient=StepAmbient(25.0, 30.0, step_time_s=10.0)
+            )
+            return [_sweep_spec(0.0), replace(_sweep_spec(5.0), plant=stepped)]
+
+        reference = run_batch(specs(), backend="scalar")
+        results = run_batch(specs(), backend=backend)
+        for ref, result in zip(reference, results):
+            assert result.extras["backend"] == "scalar"
+            assert "StepAmbient" in result.extras["fallback_reason"]
+            _assert_runs_identical(ref, result, result.label)
 
     def test_run_batch_rejects_mismatched_grids(self):
         with pytest.raises(SimulationError):

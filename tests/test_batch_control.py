@@ -35,7 +35,6 @@ from repro.sim import (
     SCHEME_NAMES,
     BatchGlobalController,
     BatchRunSpec,
-    ParameterSweep,
     Simulator,
     batch_controller_unsupported_reason,
     build_global_controller,
@@ -49,6 +48,12 @@ from repro.sim.scenarios import build_fan_controller
 from repro.thermal.steady_state import SteadyStateServerModel
 from repro.workload.performance import DeadlineTracker
 from repro.workload.synthetic import NoisyWorkload, SquareWaveWorkload
+from tests.test_backend_conformance import (
+    ENERGY_RTOL,
+    EXACT_CHANNELS,
+    THERMAL_ATOL,
+    THERMAL_CHANNELS,
+)
 
 _N = 4
 _DUR = 90.0
@@ -263,23 +268,37 @@ def _scheme_sweep_spec(scheme: str) -> BatchRunSpec:
 
 class TestSeededSweep:
     def test_scheme_grid_matches_scalar(self):
-        """A sweep across all five schemes in one batch equals the
-        scalar runner path."""
-        values = list(VECTORIZED_SCHEMES)
-        vectorized = ParameterSweep(spec_builder=_scheme_sweep_spec).run(
-            values, backend="vectorized"
-        )
-        scalar = ParameterSweep(spec_builder=_scheme_sweep_spec).run(
-            values, backend="scalar"
-        )
-        for ps, pv in zip(scalar, vectorized):
-            assert ps.value == pv.value
-            for name, channel in ps.result.channels.items():
-                assert np.array_equal(channel, pv.result.channels[name]), (
-                    f"scheme {ps.value} channel {name} diverged"
+        """All five schemes in one run_batch grid: the vectorized lane
+        equals the scalar lane bit for bit, and fused agrees within the
+        tier-B bounds."""
+        lanes = {
+            backend: run_batch(
+                [_scheme_sweep_spec(s) for s in VECTORIZED_SCHEMES], backend
+            )
+            for backend in ("scalar", "vectorized", "fused")
+        }
+        for backend, results in lanes.items():
+            assert [r.extras["backend"] for r in results] == [backend] * 5
+        for scheme, rs, rv, rf in zip(VECTORIZED_SCHEMES, *lanes.values()):
+            for name, channel in rs.channels.items():
+                assert np.array_equal(channel, rv.channels[name]), (
+                    f"scheme {scheme} channel {name} diverged"
                 )
-            assert ps.result.performance == pv.result.performance
-            assert ps.result.energy == pv.result.energy
+            assert rs.performance == rv.performance
+            assert rs.energy == rv.energy
+            for name in EXACT_CHANNELS:
+                assert np.array_equal(rv.channels[name], rf.channels[name]), (
+                    f"scheme {scheme} fused decision channel {name} diverged"
+                )
+            for name in THERMAL_CHANNELS:
+                drift = np.max(np.abs(rv.channels[name] - rf.channels[name]))
+                assert drift < THERMAL_ATOL, f"scheme {scheme} fused {name}"
+            assert rv.performance == rf.performance
+            for key in ("cpu_j", "fan_j"):
+                ev, ef = getattr(rv.energy, key), getattr(rf.energy, key)
+                assert abs(ev - ef) <= ENERGY_RTOL * abs(ev), (
+                    f"scheme {scheme} fused {key}"
+                )
 
 
 def _interval_pieces(cpu_interval_s: float):

@@ -111,6 +111,12 @@ class TestCommandLine:
         assert gates.main([self._write(tmp_path, tripped)]) == 1
         assert "FAILED: full instrumentation" in capsys.readouterr().err
 
+    def test_path_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            gates.main([])
+        assert exit_info.value.code == 2
+        assert "required: path" in capsys.readouterr().err
+
     def test_summary_tables(self, tmp_path, capsys):
         records = _records()
         records["rack16_backend_throughput"] = {

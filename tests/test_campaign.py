@@ -9,7 +9,6 @@ from repro.errors import FleetError, SimulationError
 from repro.fleet import CampaignRunner, CampaignTask, campaign_grid
 from repro.sim.backends import BACKENDS
 from repro.sim.parallel import parallel_map, resolve_workers
-from repro.sim.sweep import ParameterSweep
 
 
 def _square(x):
@@ -187,6 +186,27 @@ class TestCampaignChunking:
         assert results[0].extras["chunk"]["size"] == 2
         assert results[2].extras["chunk"]["position"] == 1
 
+    def test_chunk_on_two_time_grids_rejected(self):
+        """The stack runs on one grid, so keys that differ raise, naming
+        both tasks, instead of running the second on the first's grid."""
+        from repro.fleet import run_campaign_chunk
+
+        tasks = [
+            CampaignTask(
+                scenario="homogeneous",
+                n_servers=2,
+                seed=seed,
+                duration_s=duration_s,
+                dt_s=0.5,
+                record_decimation=5,
+            )
+            for seed, duration_s in ((0, 20.0), (1, 40.0))
+        ]
+        with pytest.raises(FleetError) as err:
+            run_campaign_chunk(tasks)
+        assert tasks[0].label in str(err.value)
+        assert tasks[1].label in str(err.value)
+
     def test_scalar_backend_tasks_do_not_stack(self):
         tasks = [
             CampaignTask(
@@ -219,13 +239,10 @@ class TestCampaignChunking:
 
 class TestParallelSweep:
     def test_workers_match_sequential(self):
-        sweep = ParameterSweep(
-            _run_short_static, metric_fns={"fan_j": lambda r: r.fan_energy_j}
-        )
+        """A per-value sweep of real simulations through the pool."""
         values = [2000.0, 5000.0, 8000.0]
-        seq = sweep.run(values)
-        par = sweep.run(values, workers=2)
-        assert [p.value for p in par] == values
-        assert [p.metrics["fan_j"] for p in par] == [
-            p.metrics["fan_j"] for p in seq
-        ]
+        seq = parallel_map(_run_short_static, values)
+        par = parallel_map(_run_short_static, values, workers=2)
+        fan_j = [result.fan_energy_j for result in par]
+        assert fan_j == [result.fan_energy_j for result in seq]
+        assert fan_j[0] < fan_j[1] < fan_j[2]  # value order: faster fans cost more

@@ -357,6 +357,26 @@ class TestTelemetryWatchdog:
             window["engaged_s"] - start
         )
 
+    def test_simulator_attaches_fault_summary(self):
+        """A single-server run records what fired in ``extras["faults"]``,
+        as the rack and room drivers do."""
+        config = ServerConfig()
+        sim = Simulator(
+            build_plant(config=config),
+            build_sensor(config=config, seed=1),
+            ConstantWorkload(0.5),
+            build_global_controller("rcoord", config),
+            dt_s=0.1,
+            faults=FaultSchedule(
+                events=(
+                    FaultEvent("dropout", server=0, start_s=10.0, duration_s=20.0),
+                )
+            ),
+        )
+        result = sim.run(60.0)
+        assert result.extras["faults"] == sim.fault_summary
+        assert sim.fault_summary["n_fired"] == 1
+
     def test_controller_resumes_after_recovery(self):
         """Post-fault control picks up from the pre-fault DTM state."""
         schedule = FaultSchedule(

@@ -147,6 +147,7 @@ class TestRoomTask:
         (CampaignTask, "homogeneous", "n_servers", 0),
         (CampaignTask, "homogeneous", "duration_s", -1.0),
         (CampaignTask, "homogeneous", "dt_s", 0.0),
+        (CampaignTask, "homogeneous", "dt_s", 5.0),
         (CampaignTask, "homogeneous", "record_decimation", 0),
         (CampaignTask, "homogeneous", "scheme", "bogus"),
         (CampaignTask, "homogeneous", "recirc_fraction", 2.0),
@@ -155,6 +156,7 @@ class TestRoomTask:
         (RoomTask, "uniform", "scheme", "bogus"),
         (RoomTask, "uniform", "n_rows", 0),
         (RoomTask, "uniform", "dt_s", 0.0),
+        (RoomTask, "uniform", "dt_s", 5.0),
         (RoomTask, "uniform", "record_decimation", 0),
     ],
 )

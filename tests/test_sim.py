@@ -1,4 +1,4 @@
-"""Simulation engine, result container, scenario builders, sweep harness."""
+"""Simulation engine, result container, scenario builders."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.sim.scenarios import (
     paper_workload,
     run_fan_only,
 )
-from repro.sim.sweep import ParameterSweep
 from repro.workload.synthetic import ConstantWorkload
 
 
@@ -176,21 +175,3 @@ class TestScenarios:
         )
         assert result.times.size > 0
         assert result.cpu_cap.min() == 1.0  # no capper in fan-only mode
-
-
-class TestParameterSweep:
-    def test_sweep_collects_metrics(self):
-        def runner(speed):
-            return make_static_sim(speed=speed).run(20.0)
-
-        sweep = ParameterSweep(
-            runner, metric_fns={"fan_j": lambda r: r.fan_energy_j}
-        )
-        points = sweep.run([2000.0, 8000.0])
-        table = ParameterSweep.table(points, "fan_j")
-        assert table[1][1] > table[0][1]
-
-    def test_empty_sweep_rejected(self):
-        sweep = ParameterSweep(lambda v: None)
-        with pytest.raises(SimulationError):
-            sweep.run([])

@@ -15,8 +15,8 @@ when a ratio is over its bound:
 and phase-breakdown tables as markdown instead (CI appends them to the
 job summary).  Usage::
 
-    python tools/check_bench_gates.py [BENCH_fleet.json]
-    python tools/check_bench_gates.py --summary [BENCH_fleet.json]
+    python tools/check_bench_gates.py <dir>/BENCH_fleet.json
+    python tools/check_bench_gates.py --summary <dir>/BENCH_fleet.json
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def summary(records: Records) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "path", nargs="?", default="BENCH_fleet.json", type=Path
+        "path", type=Path, help="the BENCH_fleet.json a benchmark run wrote"
     )
     parser.add_argument(
         "--summary",
